@@ -23,9 +23,7 @@ from .metrics import AggregateRecord, TrialRecord, aggregate, score_trial
 from .planner import (
     Conflict,
     SimulationTrace,
-    TurnOrdering,
     detect_conflicts,
-    propose_moves,
     run_trial,
     try_reassign,
 )

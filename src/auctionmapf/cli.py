@@ -91,6 +91,8 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args)
     try:
         records = harness.run_experiment(cfg, out_dir=args.out)
+    except ScenarioError as exc:
+        raise _CLIError(EXIT_CONFIG, f"scenario error: {exc}")
     except OSError as exc:
         raise _CLIError(EXIT_IO, f"cannot write results: {exc}")
     print(f"wrote {len(records)} trial records")
@@ -161,6 +163,8 @@ def _cmd_sweep_utility(args) -> int:
     cfg = _load_config(args.config, args)
     try:
         rows = harness.sweep_utility_experiment(cfg, out_dir=args.out)
+    except ScenarioError as exc:
+        raise _CLIError(EXIT_CONFIG, f"scenario error: {exc}")
     except OSError as exc:
         raise _CLIError(EXIT_IO, f"cannot write results: {exc}")
     print(f"wrote {len(rows)} utility-curve points")

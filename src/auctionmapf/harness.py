@@ -12,18 +12,18 @@ import concurrent.futures
 import hashlib
 import os
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import cbs as cbs_mod
 from . import metrics as metrics_mod
 from . import planner as planner_mod
 from .auction import Bid, harmonic_schedule, sweep_utilities
-from .world import Scenario, ScenarioError, make_scenario
+from .world import SCENARIO_KINDS, Scenario, make_scenario
 
-PLANNER_SOLVERS = ("auction", "random-ordering", "fifo")
-CBS_SOLVERS = ("cbs", "cbs-random")
+PLANNER_SOLVERS = planner_mod.RESOLVERS
+CBS_SOLVERS = cbs_mod.CBS_VARIANTS
 ALL_SOLVERS = PLANNER_SOLVERS + CBS_SOLVERS
 
 SWEEP_FIELDS = ("n_agents", "gap_size", "n_obstacles", "none")
@@ -67,7 +67,7 @@ class ExperimentConfig:
             if s not in ALL_SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
         for k in self.kinds:
-            if k not in ("doorway", "hallway", "intersection", "random-obstacles"):
+            if k not in SCENARIO_KINDS or k == "custom":
                 raise ConfigError(f"unknown scenario kind {k!r}")
 
     def sweep_points(self) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .auction import Bid, harmonic_schedule, run_auction
+from .auction import AuctionOutcome, Bid, harmonic_schedule, run_auction
 from .potential import UNREACHABLE, PotentialMap, build_potential_maps
 from .world import (
     DIRECTIONS,
@@ -55,19 +55,12 @@ class Conflict:
 
 
 @dataclass
-class TurnOrdering:
-    ordering: dict[int, int]                  # agent id -> turn (1-based)
-    payments: dict[int, Fraction]
-    utilities: dict[int, Fraction]
-
-
-@dataclass
 class ResolvedConflict:
     tick: int
     cell: Cell
     contenders: tuple[int, ...]
     bids: dict[int, Fraction]
-    ordering: TurnOrdering
+    ordering: AuctionOutcome
 
 
 @dataclass
@@ -208,20 +201,6 @@ def escape_move(
     return MoveAction(min(candidates)[2], 1)
 
 
-def propose_moves(
-    grid: GridWorld,
-    potentials: dict[Cell, PotentialMap],
-    agents: list[AgentState],
-) -> dict[int, MoveAction]:
-    occupied = {a.pos for a in agents if not a.arrived}
-    out = {}
-    for a in agents:
-        if a.arrived:
-            continue
-        out[a.id] = propose_move(grid, potentials[a.goal], a, occupied - {a.pos})
-    return out
-
-
 def detect_conflicts(
     proposals: dict[int, tuple[Cell, MoveAction]],
     tick: int = 0,
@@ -337,14 +316,16 @@ def _resolve(
     contenders: list[AgentState],
     arrivals: dict[int, int],
     rng: random.Random,
-) -> tuple[TurnOrdering, dict[int, Fraction]]:
+) -> tuple[AuctionOutcome, dict[int, Fraction]]:
+    """Turn order and bids for one conflict. The baselines charge nothing, so
+    a contender's utility is bid x alpha_q and welfare is their sum."""
+    schedule = harmonic_schedule(len(contenders))
     bids = {a.id: Fraction(a.incentive) for a in contenders}
     if resolver == "auction":
         outcome = run_auction(
-            [Bid(a.id, bids[a.id], arrivals[a.id]) for a in contenders],
-            schedule=harmonic_schedule(len(contenders)),
+            [Bid(a.id, bids[a.id], arrivals[a.id]) for a in contenders], schedule=schedule
         )
-        return TurnOrdering(outcome.ordering, outcome.payments, outcome.utilities), bids
+        return outcome, bids
     if resolver == "random-ordering":
         ids = sorted(a.id for a in contenders)
         rng.shuffle(ids)
@@ -354,10 +335,9 @@ def _resolve(
         ordering = {aid: q for q, aid in enumerate(ids, start=1)}
     else:
         raise ValueError(f"unknown resolver {resolver!r}")
-    schedule = harmonic_schedule(len(contenders))
     payments = {aid: Fraction(0) for aid in ordering}
     utilities = {aid: bids[aid] * schedule.alpha(q) for aid, q in ordering.items()}
-    return TurnOrdering(ordering, payments, utilities), bids
+    return AuctionOutcome(ordering, payments, utilities, sum(utilities.values())), bids
 
 
 def default_tick_limit(scenario: Scenario) -> int:
@@ -390,7 +370,6 @@ def run_trial(
 
     configurations = [[a.pos for a in agents]]
     resolved_log: list[ResolvedConflict] = []
-    collisions: list[tuple[int, Cell, tuple[int, ...]]] = []
     lines: list[TraceLine] = []
     orders: list[_ActiveOrder] = []
     contention_tick: dict[tuple[int, Cell], int] = {}
@@ -556,11 +535,11 @@ def run_trial(
             if not order.holders:
                 orders.remove(order)
 
-        pending_release = any(rel > t for order in orders for rel in order.holders.values())
         idle_ticks = 0 if moved_any else idle_ticks + 1
         # a single all-wait tick is not terminal: blocked agents escape only
-        # after their stall counter builds up
-        if idle_ticks > STALL_ESCAPE_TICKS + 1 and not pending_release:
+        # after their stall counter builds up; an order that survived the
+        # pruning above still holds an agent past this tick
+        if idle_ticks > STALL_ESCAPE_TICKS + 1 and not orders:
             deadlocked = True
             t += 1
             break
@@ -583,7 +562,7 @@ def run_trial(
     return SimulationTrace(
         configurations=configurations,
         conflicts=resolved_log,
-        collisions=collisions,
+        collisions=[],
         arrival_times={a.id: a.arrival_time for a in agents},
         lines=lines,
         ticks=t,

@@ -8,12 +8,9 @@ have no local minima, so greedy descent always makes progress when unblocked.
 from __future__ import annotations
 
 import io
-from collections import deque
 from dataclasses import dataclass
 
-from .world import Cell, GridWorld
-
-UNREACHABLE = -1
+from .world import UNREACHABLE, Cell, GridWorld, distances
 
 
 @dataclass(frozen=True)
@@ -38,24 +35,7 @@ class PotentialMap:
 def build_potential_map(grid: GridWorld, goal: Cell) -> PotentialMap:
     if not grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell")
-    height, width = grid.height, grid.width
-    blocked = grid.obstacles
-    values = [[UNREACHABLE] * width for _ in range(height)]
-    values[goal[0]][goal[1]] = 0
-    queue = deque([goal])
-    while queue:
-        r, c = queue.popleft()
-        d = values[r][c] + 1
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if (
-                0 <= nr < height
-                and 0 <= nc < width
-                and values[nr][nc] == UNREACHABLE
-                and (nr, nc) not in blocked
-            ):
-                values[nr][nc] = d
-                queue.append((nr, nc))
-    return PotentialMap(goal=goal, values=tuple(tuple(row) for row in values))
+    return PotentialMap(goal, tuple(map(tuple, distances(grid, goal))))
 
 
 def build_potential_maps(grid: GridWorld, goals: list[Cell]) -> dict[Cell, PotentialMap]:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 Cell = tuple[int, int]
 
@@ -25,6 +25,8 @@ DIRECTIONS: dict[str, Cell] = {
 SCENARIO_KINDS = ("doorway", "hallway", "intersection", "random-obstacles", "custom")
 
 MAX_PLACEMENT_RETRIES = 1000
+
+UNREACHABLE = -1  # distance of an obstacle or of a cell cut off from the source
 
 
 class ScenarioError(ValueError):
@@ -124,7 +126,7 @@ class Scenario:
         for a in self.agents:
             if not self.grid.is_free(a.pos) or not self.grid.is_free(a.goal):
                 raise ScenarioError(f"agent {a.id} start/goal on obstacle or outside grid")
-            if bfs_distance(self.grid, a.pos, a.goal) is None:
+            if distances(self.grid, a.goal)[a.pos[0]][a.pos[1]] == UNREACHABLE:
                 raise ScenarioError(f"agent {a.id} goal unreachable from start")
 
 
@@ -146,37 +148,27 @@ def sweep_cells(pos: Cell, action: MoveAction) -> list[Cell]:
     return [(r + dr * k, c + dc * k) for k in range(action.step + 1)]
 
 
-def bfs_distance(grid: GridWorld, start: Cell, goal: Cell) -> Optional[int]:
-    if not grid.is_free(start) or not grid.is_free(goal):
-        return None
-    if start == goal:
-        return 0
-    seen = {start}
-    queue = deque([(start, 0)])
+def distances(grid: GridWorld, source: Cell) -> list[list[int]]:
+    """Hop count between `source` and every cell, indexed [row][col], by one
+    breadth-first flood; UNREACHABLE for obstacles and cut-off cells."""
+    height, width = grid.height, grid.width
+    blocked = grid.obstacles
+    values = [[UNREACHABLE] * width for _ in range(height)]
+    values[source[0]][source[1]] = 0
+    queue = deque([source])
     while queue:
-        cell, d = queue.popleft()
-        for nxt in grid.neighbors(cell):
-            if nxt == goal:
-                return d + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, d + 1))
-    return None
-
-
-def free_subgraph_connected(grid: GridWorld) -> bool:
-    free = grid.free_cells()
-    if not free:
-        return True
-    seen = {free[0]}
-    queue = deque([free[0]])
-    while queue:
-        cell = queue.popleft()
-        for nxt in grid.neighbors(cell):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(free)
+        r, c = queue.popleft()
+        d = values[r][c] + 1
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (
+                0 <= nr < height
+                and 0 <= nc < width
+                and values[nr][nc] == UNREACHABLE
+                and (nr, nc) not in blocked
+            ):
+                values[nr][nc] = d
+                queue.append((nr, nc))
+    return values
 
 
 def _sample_distinct(rng: random.Random, cells: Sequence[Cell], n: int, label: str) -> list[Cell]:
@@ -328,11 +320,12 @@ def make_scenario(
         for _ in range(MAX_PLACEMENT_RETRIES):
             obstacle_cells = rng.sample(all_cells, n_obstacles)
             grid = GridWorld(width, height, frozenset(obstacle_cells))
-            if free_subgraph_connected(grid):
+            free = grid.free_cells()
+            reach = distances(grid, free[0])
+            if all(reach[r][c] != UNREACHABLE for r, c in free):
                 break
         else:
             raise ScenarioError("could not place obstacles without disconnecting the grid")
-        free = grid.free_cells()
         starts = _sample_distinct(rng, free, n_agents, "starts")
         goals = _sample_distinct(rng, free, n_agents, "goals")
 

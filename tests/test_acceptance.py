@@ -159,6 +159,7 @@ def test_criterion_05_obstacle_scaling_zero_collisions_within_budget():
             trace = run_trial(scenario, resolver="auction")
             runtime = time.monotonic() - t0
             assert trace.collisions == [], (n_obstacles, seed)
+            assert sweep_collisions(trace) == [], (n_obstacles, seed)
             assert runtime <= 5.0, (n_obstacles, seed, runtime)
 
 
@@ -184,6 +185,7 @@ def test_criterion_06_crossing_micro_scenario():
     trace = run_trial(_crossing_scenario(), resolver="auction")
     assert trace.completed
     assert trace.collisions == []
+    assert sweep_collisions(trace) == []
     waits = [ln for ln in trace.lines if ln.waiting]
     assert len(waits) == 1  # losing contender waits exactly one tick
 

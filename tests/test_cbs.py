@@ -10,7 +10,7 @@ from auctionmapf.cbs import (
     run_cbs_trial,
     sample_edge_weights,
 )
-from auctionmapf.world import AgentState, GridWorld, Scenario, bfs_distance, make_scenario
+from auctionmapf.world import AgentState, GridWorld, Scenario, distances, make_scenario
 
 from helpers import joint_soc_oracle
 
@@ -52,7 +52,7 @@ def test_single_agent_gets_shortest_path():
     assert not result.timed_out
     path = result.paths[0]
     assert path[0] == (0, 0) and path[-1] == (4, 4)
-    assert len(path) - 1 == bfs_distance(grid, (0, 0), (4, 4))
+    assert len(path) - 1 == distances(grid, (0, 0))[4][4]
     assert result.cost == len(path) - 1
 
 

@@ -200,6 +200,15 @@ def test_cli_run_small_experiment(tmp_path, capsys):
     assert (out_dir / "aggregates.csv").exists()
 
 
+def test_cli_run_infeasible_geometry(tmp_path, capsys):
+    cfg_file = tmp_path / "tight.cfg"
+    cfg_file.write_text("kind = doorway\nwidth = 3\nheight = 3\nn_agents = 5\n")
+    out = str(tmp_path / "out")
+    assert cli(["run", str(cfg_file), "--out", out]) == EXIT_CONFIG
+    assert cli(["sweep-utility", str(cfg_file), "--out", out]) == EXIT_CONFIG
+    assert "scenario error" in capsys.readouterr().err
+
+
 def test_cli_unknown_subcommand():
     assert cli(["frobnicate"]) == EXIT_CONFIG
 

@@ -151,7 +151,8 @@ def test_utility_curves_csv_schema():
 def test_auction_utilities_accumulate_from_conflicts():
     from fractions import Fraction
 
-    from auctionmapf.planner import ResolvedConflict, TurnOrdering
+    from auctionmapf.auction import AuctionOutcome
+    from auctionmapf.planner import ResolvedConflict
 
     trace = _trace({0: 3, 1: 5})
     trace.conflicts = [
@@ -160,10 +161,11 @@ def test_auction_utilities_accumulate_from_conflicts():
             cell=(1, 1),
             contenders=(0, 1),
             bids={0: Fraction(2), 1: Fraction(1)},
-            ordering=TurnOrdering(
+            ordering=AuctionOutcome(
                 ordering={0: 1, 1: 2},
                 payments={0: Fraction(1, 2), 1: Fraction(0)},
                 utilities={0: Fraction(3, 2), 1: Fraction(1, 2)},
+                welfare=Fraction(2),
             ),
         )
     ]

@@ -8,7 +8,6 @@ from auctionmapf.planner import (
     TraceLine,
     detect_conflicts,
     propose_move,
-    propose_moves,
     run_trial,
     try_reassign,
 )
@@ -66,11 +65,10 @@ def test_propose_move_row_before_column_on_exact_tie():
 def test_propose_moves_skips_arrived_agents():
     grid = GridWorld(5, 5)
     agents = [_agent(0, (0, 0), (0, 4), 2), _agent(1, (4, 4), (4, 4), 1)]
-    agents[1].arrived = True
-    potentials = build_potential_maps(grid, [a.goal for a in agents])
-    moves = propose_moves(grid, potentials, agents)
-    assert set(moves) == {0}
-    assert moves[0] == MoveAction("right", 2)
+    trace = run_trial(Scenario(grid=grid, agents=agents, kind="custom"))
+    assert {ln.agent_id for ln in trace.lines} == {0}
+    first = trace.lines[0]
+    assert (first.agent_id, first.direction, first.step) == (0, "right", 2)
 
 
 def test_detect_conflicts_shared_target():
@@ -184,6 +182,7 @@ def test_crossing_agents_resolved_without_collision():
     trace = run_trial(_fig1_scenario(), resolver="auction")
     assert trace.completed
     assert trace.collisions == []
+    assert sweep_collisions(trace) == []
     assert len(trace.conflicts) == 1
     assert trace.conflicts[0].contenders == (0, 1)
     waits = [ln for ln in trace.lines if ln.waiting]
@@ -238,6 +237,7 @@ def test_no_two_active_agents_share_a_cell():
     scenario = make_scenario("intersection", 12, 12, 10, gap_size=3, rng_seed=4)
     trace = run_trial(scenario)
     assert trace.collisions == []
+    assert sweep_collisions(trace) == []
     ids = [a.id for a in scenario.agents]
     for k, config in enumerate(trace.configurations):
         active = [
@@ -287,6 +287,7 @@ def test_fifo_orders_by_arrival_then_id():
     scenario = make_scenario("doorway", 10, 10, 4, gap_size=1, rng_seed=5)
     trace = run_trial(scenario, resolver="fifo")
     assert trace.collisions == []
+    assert sweep_collisions(trace) == []
 
 
 def test_head_on_corridor_deadlocks_without_collision():
@@ -299,6 +300,7 @@ def test_head_on_corridor_deadlocks_without_collision():
     assert not trace.completed
     assert trace.deadlocked
     assert trace.collisions == []
+    assert sweep_collisions(trace) == []
 
 
 def test_timeout_marks_trace():

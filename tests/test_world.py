@@ -7,10 +7,10 @@ from auctionmapf.world import (
     MoveAction,
     Scenario,
     ScenarioError,
+    UNREACHABLE,
     WAIT,
     apply_action,
-    bfs_distance,
-    free_subgraph_connected,
+    distances,
     grid_from_ascii,
     grid_to_ascii,
     make_scenario,
@@ -84,7 +84,7 @@ def test_doorway_wall_has_exactly_gap_free_cells():
     for agent in scenario.agents:
         assert agent.pos[1] < wall_col
         assert agent.goal[1] > wall_col
-        assert bfs_distance(scenario.grid, agent.pos, agent.goal) is not None
+        assert distances(scenario.grid, agent.pos)[agent.goal[0]][agent.goal[1]] != UNREACHABLE
 
 
 def test_doorway_gap_size_parameter():
@@ -109,9 +109,11 @@ def test_random_obstacles_scenario():
         "random-obstacles", 10, 10, 15, rng_seed=1, n_obstacles=25, incentive_range=(1, 3)
     )
     assert len(scenario.grid.obstacles) == 25
-    assert free_subgraph_connected(scenario.grid)
+    free = scenario.grid.free_cells()
+    reach = distances(scenario.grid, free[0])
+    assert all(reach[r][c] != UNREACHABLE for r, c in free)
     for agent in scenario.agents:
-        assert bfs_distance(scenario.grid, agent.pos, agent.goal) is not None
+        assert distances(scenario.grid, agent.pos)[agent.goal[0]][agent.goal[1]] != UNREACHABLE
 
 
 def test_hallway_goals_cross_the_corridor():
@@ -183,10 +185,10 @@ def test_json_round_trip():
 
 def test_bfs_distance_basics():
     grid = GridWorld(5, 5)
-    assert bfs_distance(grid, (0, 0), (0, 0)) == 0
-    assert bfs_distance(grid, (0, 0), (4, 4)) == 8
+    assert distances(grid, (0, 0))[0][0] == 0
+    assert distances(grid, (0, 0))[4][4] == 8
     walled = grid_from_ascii(".#.\n.#.\n...")
-    assert bfs_distance(walled, (0, 0), (0, 2)) == 6
+    assert distances(walled, (0, 0))[0][2] == 6
 
 
 def test_incentives_within_range():
