@@ -24,6 +24,7 @@ from .planner import (
     Conflict,
     SimulationTrace,
     detect_conflicts,
+    mover_index,
     run_trial,
     try_reassign,
 )

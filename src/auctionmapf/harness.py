@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
         if self.sweep not in SWEEP_FIELDS:
             raise ConfigError(f"sweep must be one of {SWEEP_FIELDS}")
         if self.sweep != "none" and not self.sweep_values:

@@ -10,10 +10,11 @@ contender passes on the q-th tick after resolution while the rest wait.
 
 from __future__ import annotations
 
+import math
 import random
 import time as _time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,6 +31,8 @@ from .world import (
     apply_action,
     sweep_cells,
 )
+
+Proposals = dict[int, tuple[Cell, MoveAction]]  # agent id -> (position, move) this tick
 
 AXES = {"up": "row", "down": "row", "left": "col", "right": "col"}
 RESOLVERS = ("auction", "random-ordering", "fifo")
@@ -157,15 +160,12 @@ def propose_move(
     if not best_by_axis:
         return WAIT
     if len(best_by_axis) == 1:
-        direction, tau = next(iter(best_by_axis.values()))
-        return MoveAction(direction, tau)
-    remaining_row = abs(pos[0] - goal[0])
-    remaining_col = abs(pos[1] - goal[1])
-    # prefer the axis with more ground to cover; break the remaining tie
-    # row-before-column so runs are reproducible
-    axis = "col" if remaining_col > remaining_row else "row"
-    direction, tau = best_by_axis[axis]
-    return MoveAction(direction, tau)
+        axis = next(iter(best_by_axis))
+    else:
+        # prefer the axis with more ground to cover; break the remaining tie
+        # row-before-column so runs are reproducible
+        axis = "col" if abs(pos[1] - goal[1]) > abs(pos[0] - goal[0]) else "row"
+    return MoveAction(*best_by_axis[axis])
 
 
 def escape_move(
@@ -201,19 +201,21 @@ def escape_move(
     return MoveAction(min(candidates)[2], 1)
 
 
-def detect_conflicts(
-    proposals: dict[int, tuple[Cell, MoveAction]],
-    tick: int = 0,
-) -> list[Conflict]:
-    """Group agents whose same-tick sweeps share any cell; groups merge
-    transitively so each agent lands in at most one conflict."""
-    movers_at: dict[Cell, list[int]] = {}
+def mover_index(proposals: Proposals) -> dict[Cell, set[int]]:
+    """Movers per cell this tick: every cell of each non-wait sweep. Waiting
+    agents are left out, since no sweep enters an occupied cell."""
+    movers: dict[Cell, set[int]] = {}
     for aid, (pos, action) in proposals.items():
-        if action.direction == "wait":
-            continue
-        for cell in sweep_cells(pos, action):
-            movers_at.setdefault(cell, []).append(aid)
+        if action.direction != "wait":
+            for cell in sweep_cells(pos, action):
+                movers.setdefault(cell, set()).add(aid)
+    return movers
 
+
+def detect_conflicts(movers: dict[Cell, set[int]], tick: int = 0) -> list[Conflict]:
+    """Group agents whose same-tick sweeps share any cell of the
+    `mover_index`; groups merge transitively so each agent lands in at most
+    one conflict."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -227,12 +229,13 @@ def detect_conflicts(
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    shared = {cell: aids for cell, aids in movers_at.items() if len(aids) > 1}
+    shared = {cell: aids for cell, aids in movers.items() if len(aids) > 1}
     for aids in shared.values():
+        first = min(aids)
+        parent.setdefault(first, first)
         for aid in aids:
             parent.setdefault(aid, aid)
-        for other in aids[1:]:
-            union(aids[0], other)
+            union(first, aid)
 
     groups: dict[int, set[int]] = {}
     for aid in parent:
@@ -240,7 +243,7 @@ def detect_conflicts(
     # all users of a shared cell were merged into one group
     group_cells: dict[int, set[Cell]] = {}
     for cell, aids in shared.items():
-        group_cells.setdefault(find(aids[0]), set()).add(cell)
+        group_cells.setdefault(find(min(aids)), set()).add(cell)
 
     conflicts = [
         Conflict(cell=min(cells), time=tick, contenders=groups[root], cells=frozenset(cells))
@@ -250,34 +253,20 @@ def detect_conflicts(
     return conflicts
 
 
-def cell_users(proposals: dict[int, tuple[Cell, MoveAction]]) -> dict[Cell, set[int]]:
-    """Agents per cell this tick: every cell of a mover's sweep, a waiting
-    agent's own cell."""
-    users: dict[Cell, set[int]] = {}
-    for aid, (pos, action) in proposals.items():
-        for cell in sweep_cells(pos, action):
-            users.setdefault(cell, set()).add(aid)
-    return users
-
-
 def try_reassign(
     conflict: Conflict,
     grid: GridWorld,
     potentials: dict[Cell, PotentialMap],
-    proposals: dict[int, tuple[Cell, MoveAction]],
+    proposals: Proposals,
     agents_by_id: dict[int, AgentState],
     occupied: set[Cell],
-    other_cells: Optional[dict[Cell, set[int]]] = None,
+    movers: dict[Cell, set[int]],
 ) -> Conflict:
     """Move contenders to equal-descent alternative targets where possible.
 
-    Mutates proposals for reassigned agents and returns the residual conflict.
-    `other_cells` is `cell_users(proposals)`; pass one index for all of a
-    tick's conflicts and it is kept in step with the reassignments.
+    Mutates proposals for reassigned agents, keeps the tick's `mover_index`
+    in step with them, and returns the residual conflict.
     """
-    if other_cells is None:
-        other_cells = cell_users(proposals)
-
     residual = set(conflict.contenders)
     for aid in sorted(conflict.contenders):
         pos, action = proposals[aid]
@@ -296,19 +285,17 @@ def try_reassign(
                 continue
             alt = MoveAction(direction, alt_tau)
             alt_cells = sweep_cells(pos, alt)
-            if any(other_cells.get(cell, _NOBODY) - {aid} for cell in alt_cells):
+            if any(movers.get(cell, _NOBODY) - {aid} for cell in alt_cells):
                 continue
-            # accept the reassignment and update the shared-cell index
             for cell in sweep_cells(pos, action):
-                other_cells.get(cell, set()).discard(aid)
+                movers[cell].discard(aid)
             for cell in alt_cells:
-                other_cells.setdefault(cell, set()).add(aid)
+                movers.setdefault(cell, set()).add(aid)
             proposals[aid] = (pos, alt)
             residual.discard(aid)
             break
 
-    cells = frozenset(conflict.cells)
-    return Conflict(cell=conflict.cell, time=conflict.time, contenders=residual, cells=cells)
+    return replace(conflict, contenders=residual)
 
 
 def _resolve(
@@ -329,12 +316,9 @@ def _resolve(
     if resolver == "random-ordering":
         ids = sorted(a.id for a in contenders)
         rng.shuffle(ids)
-        ordering = {aid: q for q, aid in enumerate(ids, start=1)}
-    elif resolver == "fifo":
+    else:  # fifo; run_trial has checked the resolver name
         ids = sorted((a.id for a in contenders), key=lambda i: (arrivals[i], i))
-        ordering = {aid: q for q, aid in enumerate(ids, start=1)}
-    else:
-        raise ValueError(f"unknown resolver {resolver!r}")
+    ordering = {aid: q for q, aid in enumerate(ids, start=1)}
     payments = {aid: Fraction(0) for aid in ordering}
     utilities = {aid: bids[aid] * schedule.alpha(q) for aid, q in ordering.items()}
     return AuctionOutcome(ordering, payments, utilities, sum(utilities.values())), bids
@@ -343,6 +327,189 @@ def _resolve(
 def default_tick_limit(scenario: Scenario) -> int:
     g = scenario.grid
     return 4 * (g.width + g.height) * len(scenario.agents)
+
+
+class _Trial:
+    """One trial's state and the four phases of its tick: propose, resolve,
+    execute and stop. `occupied` and `held` belong to the current tick."""
+
+    def __init__(self, scenario: Scenario, resolver: str):
+        self.grid = grid = scenario.grid
+        self.resolver = resolver
+        self.agents = agents = [
+            AgentState(id=a.id, pos=a.pos, goal=a.goal, incentive=a.incentive)
+            for a in scenario.agents
+        ]
+        self.agents_by_id = {a.id: a for a in agents}
+        self.potentials = build_potential_maps(grid, [a.goal for a in agents])
+        self.rng = random.Random(f"{scenario.seed}:{resolver}")
+        self.configurations = [[a.pos for a in agents]]
+        self.resolved: list[ResolvedConflict] = []
+        self.lines: list[TraceLine] = []
+        self.orders: list[_ActiveOrder] = []
+        self.contention_tick: dict[tuple[int, Cell], int] = {}
+        self.stall = {a.id: 0 for a in agents}
+        self.excursion = {a.id: 0 for a in agents}
+        self.tabu = {a.id: deque(maxlen=ESCAPE_TABU_LEN) for a in agents}
+        self.stale_window = 10 * (grid.width + grid.height)
+        self.best_remaining = math.inf
+        self.last_improvement = 0
+        self.idle_ticks = 0
+        self.guard_waits = 0
+        self.t = 0
+        for a in agents:
+            if a.pos == a.goal:
+                a.arrived = True
+                a.arrival_time = 0
+
+    def propose(self, active: list[AgentState]) -> Proposals:
+        """Agents held by a standing order wait; the rest descend, or start
+        an escape excursion once stalled."""
+        self.occupied = occupied = {a.pos for a in active}
+        # pruning after every tick leaves only unarrived holders released at
+        # this tick or later
+        self.held = {
+            aid for order in self.orders for aid, rel in order.holders.items() if rel > self.t
+        }
+        proposals: Proposals = {}
+        for a in active:
+            if a.id in self.held:
+                proposals[a.id] = (a.pos, WAIT)
+                continue
+            pot = self.potentials[a.goal]
+            # no sweep re-enters its start cell, so the mover's own cell may
+            # stay in `occupied`
+            move = propose_move(self.grid, pot, a, occupied)
+            stalled = move.direction == "wait" and self.stall[a.id] >= STALL_ESCAPE_TICKS
+            if stalled and self.excursion[a.id] == 0:
+                self.excursion[a.id] = ESCAPE_COMMIT_TICKS
+            if self.excursion[a.id] > 0:
+                self.excursion[a.id] -= 1
+                move = escape_move(self.grid, pot, a, occupied, self.tabu[a.id])
+            proposals[a.id] = (a.pos, move)
+        return proposals
+
+    def resolve(self, proposals: Proposals) -> None:
+        """Detect conflicts, merge intrusions on standing orders, reassign
+        where an equal move is free, and order the rest; the losers wait."""
+        t = self.t
+        movers = mover_index(proposals)
+        conflicts = detect_conflicts(movers, tick=t)
+        # movers intruding on a cell with an unexpired ordering force a fresh
+        # auction among the remaining holders plus the newcomers
+        for order in list(self.orders):
+            members = self.held.intersection(order.holders)
+            intruders = movers.get(order.cell, _NOBODY).difference(order.holders)
+            if not members or not intruders:
+                continue
+            members |= intruders
+            merged = [c for c in conflicts if c.contenders & members]
+            for c in merged:
+                members |= c.contenders
+                conflicts.remove(c)
+            conflicts.append(
+                Conflict(cell=order.cell, time=t, contenders=members,
+                         cells=frozenset({order.cell}))
+            )
+            self.orders.remove(order)
+        conflicts.sort(key=lambda c: c.cell)
+
+        residuals = [
+            try_reassign(c, self.grid, self.potentials, proposals, self.agents_by_id,
+                         self.occupied, movers)
+            for c in conflicts
+        ]
+        for conflict in residuals:
+            if len(conflict.contenders) < 2:
+                continue
+            arrivals = {
+                aid: self.contention_tick.setdefault((aid, conflict.cell), t)
+                for aid in conflict.contenders
+            }
+            contenders = [self.agents_by_id[aid] for aid in sorted(conflict.contenders)]
+            ordering, bids = _resolve(self.resolver, contenders, arrivals, self.rng)
+            self.orders.append(
+                _ActiveOrder(
+                    cell=conflict.cell,
+                    holders={aid: t + q - 1 for aid, q in ordering.ordering.items()},
+                )
+            )
+            self.resolved.append(
+                ResolvedConflict(
+                    tick=t,
+                    cell=conflict.cell,
+                    contenders=tuple(sorted(conflict.contenders)),
+                    bids=bids,
+                    ordering=ordering,
+                )
+            )
+            for aid, q in ordering.ordering.items():
+                a = self.agents_by_id[aid]
+                if q > 1:
+                    proposals[aid] = (a.pos, WAIT)
+                elif proposals[aid][1].direction == "wait":
+                    # winner was holding from a superseded ordering: give it a
+                    # fresh move, vetted by the safety pass
+                    proposals[aid] = (a.pos, propose_move(
+                        self.grid, self.potentials[a.goal], a, self.occupied))
+
+    def execute(self, active: list[AgentState], proposals: Proposals) -> bool:
+        """Safety pass, arrivals and order pruning; True if anyone moved."""
+        t = self.t
+        # executed sweeps must be pairwise disjoint
+        taken = {a.pos for a in active if proposals[a.id][1].direction == "wait"}
+        moved_any = False
+        for a in sorted(active, key=lambda x: x.id):
+            pos, action = proposals[a.id]
+            cells = sweep_cells(pos, action)
+            guarded = any(cell in taken for cell in cells[1:])
+            if guarded or action.direction == "wait":
+                # a held agent waiting its turn is not stalled
+                if guarded or a.id not in self.held:
+                    self.stall[a.id] += 1
+                self.guard_waits += guarded
+                taken.add(pos)
+                self.lines.append(TraceLine(t, a.id, *pos, "wait", 0, True))
+                continue
+            taken.update(cells)
+            a.pos = apply_action(pos, action, self.grid)
+            self.tabu[a.id].append(pos)
+            self.stall[a.id] = 0
+            moved_any = True
+            self.lines.append(TraceLine(t, a.id, *a.pos, action.direction, action.step, False))
+
+        for a in active:
+            if a.pos == a.goal:
+                a.arrived = True
+                a.arrival_time = t + 1
+        self.configurations.append([a.pos for a in self.agents])
+
+        for order in list(self.orders):
+            order.holders = {
+                aid: rel
+                for aid, rel in order.holders.items()
+                if rel > t and not self.agents_by_id[aid].arrived
+            }
+            if not order.holders:
+                self.orders.remove(order)
+        return moved_any
+
+    def stop(self, moved_any: bool) -> bool:
+        """True once the trial has deadlocked."""
+        self.idle_ticks = 0 if moved_any else self.idle_ticks + 1
+        # a single all-wait tick is not terminal: blocked agents escape only
+        # after their stall counter builds up; an order that survived the
+        # pruning still holds an agent past this tick
+        if self.idle_ticks > STALL_ESCAPE_TICKS + 1 and not self.orders:
+            return True
+        # stalemate: nobody has gotten closer to a goal for a long stretch,
+        # so further ticks just repeat an oscillation
+        remaining = sum(self.potentials[a.goal][a.pos] for a in self.agents if not a.arrived)
+        if remaining < self.best_remaining:
+            self.best_remaining = remaining
+            self.last_improvement = self.t
+            return False
+        return self.t - self.last_improvement > self.stale_window
 
 
 def run_trial(
@@ -359,215 +526,33 @@ def run_trial(
     if tick_limit < 1:
         raise ValueError("tick_limit must be >= 1")
 
-    agents = [
-        AgentState(id=a.id, pos=a.pos, goal=a.goal, incentive=a.incentive)
-        for a in scenario.agents
-    ]
-    agents_by_id = {a.id: a for a in agents}
-    grid = scenario.grid
-    potentials = build_potential_maps(grid, [a.goal for a in agents])
-    rng = random.Random(f"{scenario.seed}:{resolver}")
-
-    configurations = [[a.pos for a in agents]]
-    resolved_log: list[ResolvedConflict] = []
-    lines: list[TraceLine] = []
-    orders: list[_ActiveOrder] = []
-    contention_tick: dict[tuple[int, Cell], int] = {}
-    stall: dict[int, int] = {a.id: 0 for a in agents}
-    excursion: dict[int, int] = {a.id: 0 for a in agents}
-    tabu: dict[int, deque] = {a.id: deque(maxlen=ESCAPE_TABU_LEN) for a in agents}
-    stale_window = 10 * (grid.width + grid.height)
-    best_remaining = None
-    last_improvement = 0
-    idle_ticks = 0
-    guard_waits = 0
-    deadlocked = False
-    timed_out = False
+    trial = _Trial(scenario, resolver)
+    deadlocked = timed_out = False
     start_time = _time.monotonic()
-    t = 0
-
-    for a in agents:
-        if a.pos == a.goal:
-            a.arrived = True
-            a.arrival_time = 0
-
-    while t < tick_limit:
-        active = [a for a in agents if not a.arrived]
+    while trial.t < tick_limit:
+        active = [a for a in trial.agents if not a.arrived]
         if not active:
             break
         if timeout is not None and _time.monotonic() - start_time > timeout:
             timed_out = True
             break
-
-        occupied = {a.pos for a in active}
-        held = {
-            aid: release
-            for order in orders
-            for aid, release in order.holders.items()
-            if release > t and not agents_by_id[aid].arrived
-        }
-
-        proposals: dict[int, tuple[Cell, MoveAction]] = {}
-        for a in active:
-            if a.id in held:
-                proposals[a.id] = (a.pos, WAIT)
-                continue
-            # no sweep re-enters its start cell, so the mover's own cell may
-            # stay in `occupied`
-            move = propose_move(grid, potentials[a.goal], a, occupied)
-            if move.direction == "wait" and stall[a.id] >= STALL_ESCAPE_TICKS:
-                if excursion[a.id] == 0:
-                    excursion[a.id] = ESCAPE_COMMIT_TICKS
-            if excursion[a.id] > 0:
-                excursion[a.id] -= 1
-                move = escape_move(grid, potentials[a.goal], a, occupied, tabu[a.id])
-            proposals[a.id] = (a.pos, move)
-
-        conflicts = detect_conflicts(proposals, tick=t)
-        # one shared-cell index per tick, for intrusion checks and reassignment
-        users = cell_users(proposals) if conflicts or orders else {}
-
-        # movers intruding on a cell with an unexpired ordering force a fresh
-        # auction among the remaining holders plus the newcomers
-        for order in list(orders):
-            pending = {aid for aid, rel in order.holders.items() if rel > t}
-            if not pending:
-                continue
-            intruders = {
-                aid
-                for aid in users.get(order.cell, _NOBODY)
-                if aid not in order.holders and proposals[aid][1].direction != "wait"
-            }
-            if not intruders:
-                continue
-            members = pending | intruders
-            merged = [c for c in conflicts if c.contenders & members]
-            for c in merged:
-                members |= c.contenders
-                conflicts.remove(c)
-            conflicts.append(
-                Conflict(cell=order.cell, time=t, contenders=members,
-                         cells=frozenset({order.cell}))
-            )
-            orders.remove(order)
-        conflicts.sort(key=lambda c: c.cell)
-
-        residuals = []
-        for conflict in conflicts:
-            residuals.append(
-                try_reassign(conflict, grid, potentials, proposals, agents_by_id, occupied, users)
-            )
-
-        for conflict in residuals:
-            if len(conflict.contenders) < 2:
-                continue
-            for aid in conflict.contenders:
-                contention_tick.setdefault((aid, conflict.cell), t)
-            arrivals = {aid: contention_tick[(aid, conflict.cell)] for aid in conflict.contenders}
-            contenders = [agents_by_id[aid] for aid in sorted(conflict.contenders)]
-            ordering, bids = _resolve(resolver, contenders, arrivals, rng)
-            orders.append(
-                _ActiveOrder(
-                    cell=conflict.cell,
-                    holders={aid: t + q - 1 for aid, q in ordering.ordering.items()},
-                )
-            )
-            resolved_log.append(
-                ResolvedConflict(
-                    tick=t,
-                    cell=conflict.cell,
-                    contenders=tuple(sorted(conflict.contenders)),
-                    bids=bids,
-                    ordering=ordering,
-                )
-            )
-            for aid, q in ordering.ordering.items():
-                if q > 1:
-                    proposals[aid] = (agents_by_id[aid].pos, WAIT)
-                elif proposals[aid][1].direction == "wait":
-                    # winner was holding from a superseded ordering: give it a
-                    # fresh move, vetted below by the final safety pass
-                    a = agents_by_id[aid]
-                    proposals[aid] = (a.pos, propose_move(grid, potentials[a.goal], a, occupied))
-
-        # final safety pass: executed sweeps must be pairwise disjoint
-        taken: dict[Cell, int] = {}
-        for a in active:
-            if proposals[a.id][1].direction == "wait":
-                taken[a.pos] = a.id
-        moved_any = False
-        for a in sorted(active, key=lambda x: x.id):
-            pos, action = proposals[a.id]
-            if action.direction == "wait":
-                if a.id not in held:
-                    stall[a.id] += 1
-                lines.append(TraceLine(t, a.id, pos[0], pos[1], "wait", 0, True))
-                continue
-            cells = sweep_cells(pos, action)
-            if any(cell in taken for cell in cells[1:]):
-                proposals[a.id] = (pos, WAIT)
-                taken[pos] = a.id
-                guard_waits += 1
-                stall[a.id] += 1
-                lines.append(TraceLine(t, a.id, pos[0], pos[1], "wait", 0, True))
-                continue
-            for cell in cells:
-                taken[cell] = a.id
-            a.pos = apply_action(pos, action, grid)
-            tabu[a.id].append(pos)
-            stall[a.id] = 0
-            moved_any = True
-            lines.append(TraceLine(t, a.id, a.pos[0], a.pos[1], action.direction, action.step, False))
-
-        for a in active:
-            if not a.arrived and a.pos == a.goal:
-                a.arrived = True
-                a.arrival_time = t + 1
-
-        configurations.append([a.pos for a in agents])
-
-        for order in list(orders):
-            order.holders = {
-                aid: rel
-                for aid, rel in order.holders.items()
-                if rel > t and not agents_by_id[aid].arrived
-            }
-            if not order.holders:
-                orders.remove(order)
-
-        idle_ticks = 0 if moved_any else idle_ticks + 1
-        # a single all-wait tick is not terminal: blocked agents escape only
-        # after their stall counter builds up; an order that survived the
-        # pruning above still holds an agent past this tick
-        if idle_ticks > STALL_ESCAPE_TICKS + 1 and not orders:
-            deadlocked = True
-            t += 1
+        proposals = trial.propose(active)
+        trial.resolve(proposals)
+        deadlocked = trial.stop(trial.execute(active, proposals))
+        trial.t += 1
+        if deadlocked:
             break
 
-        # stalemate: nobody has gotten closer to a goal for a long stretch,
-        # so further ticks just repeat an oscillation
-        remaining = sum(
-            potentials[a.goal][a.pos] for a in agents if not a.arrived
-        )
-        if best_remaining is None or remaining < best_remaining:
-            best_remaining = remaining
-            last_improvement = t
-        elif t - last_improvement > stale_window:
-            deadlocked = True
-            t += 1
-            break
-        t += 1
-
-    completed = all(a.arrived for a in agents)
+    agents = trial.agents
     return SimulationTrace(
-        configurations=configurations,
-        conflicts=resolved_log,
+        configurations=trial.configurations,
+        conflicts=trial.resolved,
         collisions=[],
         arrival_times={a.id: a.arrival_time for a in agents},
-        lines=lines,
-        ticks=t,
-        completed=completed,
+        lines=trial.lines,
+        ticks=trial.t,
+        completed=all(a.arrived for a in agents),
         deadlocked=deadlocked,
         timed_out=timed_out,
-        guard_waits=guard_waits,
+        guard_waits=trial.guard_waits,
     )

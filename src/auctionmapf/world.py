@@ -45,10 +45,10 @@ class GridWorld:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be positive")
+            raise ScenarioError("grid dimensions must be positive")
         for (r, c) in self.obstacles:
             if not (0 <= r < self.height and 0 <= c < self.width):
-                raise ValueError(f"obstacle {(r, c)} outside grid")
+                raise ScenarioError(f"obstacle {(r, c)} outside grid")
 
     def in_bounds(self, cell: Cell) -> bool:
         r, c = cell
@@ -123,10 +123,17 @@ class Scenario:
             raise ScenarioError("duplicate start cells")
         if len(set(goals)) != len(goals):
             raise ScenarioError("duplicate goal cells")
+        # one flood per connected component: a field that reaches the goal
+        # reaches exactly the cells the goal reaches
+        fields: list[list[list[int]]] = []
         for a in self.agents:
             if not self.grid.is_free(a.pos) or not self.grid.is_free(a.goal):
                 raise ScenarioError(f"agent {a.id} start/goal on obstacle or outside grid")
-            if distances(self.grid, a.goal)[a.pos[0]][a.pos[1]] == UNREACHABLE:
+            field = next((f for f in fields if f[a.goal[0]][a.goal[1]] != UNREACHABLE), None)
+            if field is None:
+                field = distances(self.grid, a.goal)
+                fields.append(field)
+            if field[a.pos[0]][a.pos[1]] == UNREACHABLE:
                 raise ScenarioError(f"agent {a.id} goal unreachable from start")
 
 

@@ -68,6 +68,8 @@ def test_parse_config_errors():
         parse_config("kind = labyrinth")
     with pytest.raises(ConfigError):
         parse_config("sweep = gap_size")  # sweeping without values
+    with pytest.raises(ConfigError):
+        parse_config("jobs = 0")
 
 
 def test_trial_seed_is_stable_and_distinct():
@@ -207,6 +209,9 @@ def test_cli_run_infeasible_geometry(tmp_path, capsys):
     assert cli(["run", str(cfg_file), "--out", out]) == EXIT_CONFIG
     assert cli(["sweep-utility", str(cfg_file), "--out", out]) == EXIT_CONFIG
     assert "scenario error" in capsys.readouterr().err
+    cfg_file.write_text("kind = doorway\nwidth = 0\nheight = 10\nn_agents = 2\n")
+    assert cli(["run", str(cfg_file), "--out", out]) == EXIT_CONFIG
+    assert "grid dimensions must be positive" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand():

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from auctionmapf.planner import (
     SimulationTrace,
     TraceLine,
     detect_conflicts,
+    mover_index,
     propose_move,
     run_trial,
     try_reassign,
@@ -21,6 +24,8 @@ from auctionmapf.world import (
 )
 
 from helpers import sweep_collisions
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _agent(aid, pos, goal, incentive=1):
@@ -75,8 +80,9 @@ def test_detect_conflicts_shared_target():
     proposals = {
         0: ((2, 1), MoveAction("right", 1)),
         1: ((1, 2), MoveAction("down", 1)),
+        2: ((2, 2), MoveAction("wait", 0)),   # waits on the cell both sweep
     }
-    conflicts = detect_conflicts(proposals, tick=5)
+    conflicts = detect_conflicts(mover_index(proposals), tick=5)
     assert len(conflicts) == 1
     assert conflicts[0].contenders == {0, 1}
     assert conflicts[0].cells == frozenset({(2, 2)})
@@ -88,7 +94,7 @@ def test_detect_conflicts_overlapping_sweeps():
         0: ((2, 1), MoveAction("right", 3)),  # sweeps (2,1)..(2,4)
         1: ((2, 5), MoveAction("left", 2)),   # sweeps (2,5)..(2,3)
     }
-    conflicts = detect_conflicts(proposals)
+    conflicts = detect_conflicts(mover_index(proposals))
     assert len(conflicts) == 1
     assert conflicts[0].cells == frozenset({(2, 3), (2, 4)})
 
@@ -98,7 +104,7 @@ def test_detect_conflicts_disjoint_sweeps():
         0: ((0, 0), MoveAction("right", 2)),
         1: ((4, 0), MoveAction("right", 2)),
     }
-    assert detect_conflicts(proposals) == []
+    assert detect_conflicts(mover_index(proposals)) == []
 
 
 def test_detect_conflicts_merges_transitively():
@@ -107,7 +113,7 @@ def test_detect_conflicts_merges_transitively():
         1: ((0, 4), MoveAction("left", 2)),   # (0,4)..(0,2)
         2: ((1, 4), MoveAction("up", 1)),     # (1,4),(0,4)
     }
-    conflicts = detect_conflicts(proposals)
+    conflicts = detect_conflicts(mover_index(proposals))
     assert len(conflicts) == 1
     assert conflicts[0].contenders == {0, 1, 2}
 
@@ -121,11 +127,13 @@ def test_try_reassign_moves_agent_with_equal_alternative():
         0: ((1, 1), MoveAction("down", 1)),   # to (2,1)
         1: ((2, 0), MoveAction("right", 1)),  # to (2,1)
     }
-    conflict = detect_conflicts(proposals)[0]
+    movers = mover_index(proposals)
+    conflict = detect_conflicts(movers)[0]
     occupied = {a.pos, b.pos}
-    residual = try_reassign(conflict, grid, potentials, proposals, {0: a, 1: b}, occupied)
+    residual = try_reassign(conflict, grid, potentials, proposals, {0: a, 1: b}, occupied, movers)
     assert residual.contenders == {1}
     assert proposals[0] == ((1, 1), MoveAction("right", 1))  # rerouted via (1,2)
+    assert movers[(1, 2)] == {0} and movers[(2, 1)] == {1}  # index kept in step
 
 
 def test_try_reassign_three_contenders_one_reassignable():
@@ -139,11 +147,12 @@ def test_try_reassign_three_contenders_one_reassignable():
         1: ((2, 0), MoveAction("right", 1)),
         2: ((3, 1), MoveAction("up", 1)),
     }
-    conflict = detect_conflicts(proposals)[0]
+    movers = mover_index(proposals)
+    conflict = detect_conflicts(movers)[0]
     assert conflict.contenders == {0, 1, 2}
     occupied = {a.pos, b.pos, c.pos}
     residual = try_reassign(
-        conflict, grid, potentials, proposals, {0: a, 1: b, 2: c}, occupied
+        conflict, grid, potentials, proposals, {0: a, 1: b, 2: c}, occupied, movers
     )
     assert residual.contenders == {1, 2}
 
@@ -162,9 +171,10 @@ def test_try_reassign_no_alternative_in_narrow_gap():
         0: (a.pos, MoveAction("right", 1)),
         1: (b.pos, MoveAction("left", 1)),
     }
-    conflict = detect_conflicts(proposals)[0]
+    movers = mover_index(proposals)
+    conflict = detect_conflicts(movers)[0]
     residual = try_reassign(
-        conflict, grid, potentials, proposals, {0: a, 1: b}, {a.pos, b.pos}
+        conflict, grid, potentials, proposals, {0: a, 1: b}, {a.pos, b.pos}, movers
     )
     assert residual.contenders == {0, 1}
 
@@ -347,3 +357,20 @@ def test_sweep_audit_frees_an_arrived_goal():
         (1, 0, 0, 3, "right", 3, False),
     ])
     assert sweep_collisions(trace) == []
+
+
+def test_traces_match_benchmark_reference_digests(monkeypatch):
+    """Two criterion-4 cells replay to the digests recorded in
+    bench/reference.json, so a change to any trace or auction log fails here."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from checks import planner_digest
+
+    reference = json.loads((BENCH / "reference.json").read_text())
+    mismatched = []
+    for kind, width, height, n, gap in (("doorway", 14, 14, 20, 2), ("intersection", 16, 16, 20, 4)):
+        for seed in range(100):
+            scenario = make_scenario(kind, width, height, n, gap_size=gap, rng_seed=seed)
+            key = f"{kind}-{width}x{height}-n{n}-g{gap}:{seed}"
+            if planner_digest(run_trial(scenario, resolver="auction")) != reference[key]["digest"]:
+                mismatched.append(key)
+    assert mismatched == []

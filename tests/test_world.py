@@ -158,6 +158,18 @@ def test_scenario_validation_rejects_unreachable_goal():
     agents = [AgentState(id=0, pos=(0, 0), goal=(0, 2), incentive=1)]
     with pytest.raises(ScenarioError):
         Scenario(grid=grid, agents=agents, kind="custom").validate()
+    # two rooms: trips inside either room pass, a trip between them does not
+    rooms = grid_from_ascii("..#..\n..#..\n..#..")
+    within = [
+        AgentState(id=0, pos=(0, 0), goal=(2, 1), incentive=1),
+        AgentState(id=1, pos=(0, 4), goal=(2, 3), incentive=1),
+        AgentState(id=2, pos=(1, 0), goal=(0, 1), incentive=1),
+        AgentState(id=3, pos=(2, 4), goal=(1, 3), incentive=1),
+    ]
+    Scenario(grid=rooms, agents=within, kind="custom").validate()
+    across = within + [AgentState(id=4, pos=(1, 1), goal=(1, 4), incentive=1)]
+    with pytest.raises(ScenarioError, match="agent 4 goal unreachable"):
+        Scenario(grid=rooms, agents=across, kind="custom").validate()
 
 
 def test_ascii_round_trip():
