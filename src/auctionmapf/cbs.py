@@ -79,8 +79,17 @@ def sample_edge_weights(
     return weights
 
 
-def _manhattan(a: Cell, b: Cell) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+Moves = dict[Cell, tuple[tuple[Cell, float], ...]]
+
+
+def _move_table(grid: GridWorld, weights: dict[frozenset[Cell], float]) -> Moves:
+    """Each free cell's moves as (next cell, cost): the wait first, then the
+    grid neighbours in `GridWorld.neighbors` order. Built once per plan."""
+    return {
+        cell: ((cell, 1.0),)
+        + tuple((nxt, weights[frozenset((cell, nxt))]) for nxt in grid.neighbors(cell))
+        for cell in grid.free_cells()
+    }
 
 
 def _low_level(
@@ -88,36 +97,49 @@ def _low_level(
     start: Cell,
     goal: Cell,
     constraints: frozenset[Constraint],
-    weights: dict[frozenset[Cell], float],
+    moves: Moves,
+    min_w: float,
     deadline: Optional[float],
 ) -> Optional[tuple[list[Cell], float]]:
-    """Space-time A* honoring vertex and edge constraints for one agent."""
-    vertex_cons = {(c.cell, c.tick) for c in constraints if not c.is_edge}
-    edge_cons = {(c.cell_from, c.cell, c.tick) for c in constraints if c.is_edge}
+    """Space-time A* honoring vertex and edge constraints for one agent.
+
+    `min_w` is the cheapest edge weight, so Manhattan distance times `min_w`
+    never overestimates the remaining cost.
+    """
+    # forbidden next cells, looked up once per pop: vertex constraints by
+    # arrival tick, edge constraints by (cell moved from, departure tick)
+    vertex_at: dict[int, set[Cell]] = {}
+    edge_at: dict[tuple[Cell, int], set[Cell]] = {}
+    for c in constraints:
+        if c.is_edge:
+            edge_at.setdefault((c.cell_from, c.tick), set()).add(c.cell)
+        else:
+            vertex_at.setdefault(c.tick, set()).add(c.cell)
     last_con = max((c.tick for c in constraints), default=-1)
     # resting at the goal is only legal after the last vertex constraint there
-    last_goal_con = max(
-        (c.tick for c in constraints if not c.is_edge and c.cell == goal), default=-1
-    )
+    last_goal_con = max((t for t, cells in vertex_at.items() if goal in cells), default=-1)
     horizon = grid.width * grid.height + last_con + 1
-    min_w = min(weights.values(), default=1.0)
+    gr, gc = goal
+    heappush, heappop, monotonic = heapq.heappush, heapq.heappop, _time.monotonic
+    inf = float("inf")
+    no_cells: frozenset[Cell] = frozenset()
     counter = itertools.count()
 
-    open_heap: list = []
-    g0 = 0.0
-    heapq.heappush(open_heap, (_manhattan(start, goal) * min_w, g0, next(counter), start, 0, None))
-    best: dict[tuple[Cell, int], float] = {(start, 0): 0.0}
-    parents: dict[tuple[Cell, int], Optional[tuple[Cell, int]]] = {(start, 0): None}
+    root = (start, 0)
+    open_heap = [((abs(start[0] - gr) + abs(start[1] - gc)) * min_w, 0.0, next(counter), root)]
+    best: dict[tuple[Cell, int], float] = {root: 0.0}
+    parents: dict[tuple[Cell, int], Optional[tuple[Cell, int]]] = {root: None}
 
     while open_heap:
-        if deadline is not None and _time.monotonic() > deadline:
+        if deadline is not None and monotonic() > deadline:
             raise CBSTimeout
-        f, g, _, cell, t, _p = heapq.heappop(open_heap)
-        if g > best.get((cell, t), float("inf")):
+        _, g, _, state = heappop(open_heap)
+        if g > best[state]:
             continue
+        cell, t = state
         if cell == goal and t > last_goal_con:
             path = []
-            key = (cell, t)
+            key = state
             while key is not None:
                 path.append(key[0])
                 key = parents[key]
@@ -125,21 +147,21 @@ def _low_level(
             return path, g
         if t >= horizon:
             continue
-        moves = [cell] + grid.neighbors(cell)
-        for nxt in moves:
-            if (nxt, t + 1) in vertex_cons:
+        t1 = t + 1
+        banned = vertex_at.get(t1, no_cells)
+        if state in edge_at:
+            banned = banned | edge_at[state]
+        for nxt, w in moves[cell]:
+            if nxt in banned:
                 continue
-            if (cell, nxt, t) in edge_cons:
-                continue
-            w = 1.0 if nxt == cell else weights[frozenset((cell, nxt))]
             ng = g + w
-            key = (nxt, t + 1)
-            if ng < best.get(key, float("inf")) - 1e-12:
+            key = (nxt, t1)
+            if ng < best.get(key, inf) - 1e-12:
                 best[key] = ng
-                parents[key] = (cell, t)
-                heapq.heappush(
+                parents[key] = state
+                heappush(
                     open_heap,
-                    (ng + _manhattan(nxt, goal) * min_w, ng, next(counter), nxt, t + 1, None),
+                    (ng + (abs(nxt[0] - gr) + abs(nxt[1] - gc)) * min_w, ng, next(counter), key),
                 )
     return None
 
@@ -182,6 +204,9 @@ def plan_cbs(
     weights_rng = random.Random(f"{rng_seed}:weights:{noise_sigma}")
     grid = scenario.grid
     weights = sample_edge_weights(grid, noise_sigma, weights_rng)
+    moves = _move_table(grid, weights)
+    min_w = min(weights.values(), default=1.0)
+    agents = {a.id: a for a in scenario.agents}
     start_time = _time.monotonic()
     deadline = start_time + timeout if timeout else None
     counter = itertools.count()
@@ -200,7 +225,7 @@ def plan_cbs(
         paths: dict[int, list[Cell]] = {}
         cost = 0.0
         for a in scenario.agents:
-            res = _low_level(grid, a.pos, a.goal, frozenset(), weights, deadline)
+            res = _low_level(grid, a.pos, a.goal, frozenset(), moves, min_w, deadline)
             if res is None:
                 raise ValueError(f"agent {a.id} has no path")
             paths[a.id], c = res
@@ -240,9 +265,9 @@ def plan_cbs(
                 ]
             for con in branch:
                 constraints = node.constraints | {con}
-                agent = next(a for a in scenario.agents if a.id == con.agent_id)
+                agent = agents[con.agent_id]
                 own = frozenset(c for c in constraints if c.agent_id == con.agent_id)
-                res = _low_level(grid, agent.pos, agent.goal, own, weights, deadline)
+                res = _low_level(grid, agent.pos, agent.goal, own, moves, min_w, deadline)
                 if res is None:
                     continue
                 new_paths = dict(node.paths)

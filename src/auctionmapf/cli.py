@@ -68,12 +68,11 @@ def _load_config(path: str, args) -> harness.ExperimentConfig:
         cfg = harness.parse_config(text)
     except harness.ConfigError as exc:
         raise _CLIError(EXIT_CONFIG, f"config error: {exc}")
-    if getattr(args, "trials", None):
-        cfg.trials = args.trials
-    if getattr(args, "timeout", None):
-        cfg.timeout = args.timeout
-    if getattr(args, "jobs", None):
-        cfg.jobs = args.jobs
+    # an override of 0 is applied too, so validation rejects it
+    for key in ("trials", "timeout", "jobs"):
+        value = getattr(args, key, None)
+        if value is not None:
+            setattr(cfg, key, value)
     try:
         cfg.validate()
     except harness.ConfigError as exc:

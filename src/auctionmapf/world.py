@@ -390,15 +390,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    grid = GridWorld(
-        width=data["width"],
-        height=data["height"],
-        obstacles=frozenset(tuple(c) for c in data.get("obstacles", [])),
-    )
-    agents = [
-        AgentState(id=i, pos=tuple(a["start"]), goal=tuple(a["goal"]), incentive=a["incentive"])
-        for i, a in enumerate(data["agents"])
-    ]
+    try:
+        grid = GridWorld(
+            width=data["width"],
+            height=data["height"],
+            obstacles=frozenset(tuple(c) for c in data.get("obstacles", [])),
+        )
+        agents = []
+        for i, a in enumerate(data["agents"]):
+            incentive = a["incentive"]
+            if type(incentive) is not int or incentive < 1:
+                raise ScenarioError(f"agent {i} incentive must be an integer >= 1, not {incentive!r}")
+            agents.append(
+                AgentState(id=i, pos=tuple(a["start"]), goal=tuple(a["goal"]), incentive=incentive)
+            )
+    except KeyError as exc:
+        raise ScenarioError(f"scenario is missing key {exc}") from None
     scenario = Scenario(
         grid=grid,
         agents=agents,

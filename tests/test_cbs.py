@@ -1,9 +1,14 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from auctionmapf.cbs import (
     Constraint,
+    _low_level,
+    _move_table,
+    _path_cost,
     execute_multihop,
     path_time_to_goal,
     plan_cbs,
@@ -13,6 +18,8 @@ from auctionmapf.cbs import (
 from auctionmapf.world import AgentState, GridWorld, Scenario, distances, make_scenario
 
 from helpers import joint_soc_oracle
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _scenario(grid, specs):
@@ -155,3 +162,101 @@ def test_invalid_arguments():
         plan_cbs(scenario, variant="cbs-greedy")
     with pytest.raises(ValueError):
         plan_cbs(scenario, noise_sigma=-0.1)
+
+
+def _plan_one(grid, start, goal, constraints=(), weights=None):
+    """_low_level over the move table plan_cbs would build for `weights`."""
+    if weights is None:
+        weights = sample_edge_weights(grid, 0.0, random.Random(0))
+    moves = _move_table(grid, weights)
+    min_w = min(weights.values(), default=1.0)
+    return _low_level(grid, start, goal, frozenset(constraints), moves, min_w, None)
+
+
+def test_move_table_lists_wait_then_neighbors():
+    grid = GridWorld(3, 3, obstacles=frozenset({(0, 1)}))
+    weights = sample_edge_weights(grid, 0.5, random.Random(4))
+    moves = _move_table(grid, weights)
+    assert set(moves) == set(grid.free_cells())
+    for cell, row in moves.items():
+        assert row[0] == (cell, 1.0)
+        assert [nxt for nxt, _ in row[1:]] == grid.neighbors(cell)
+        assert all(w == weights[frozenset((cell, nxt))] for nxt, w in row[1:])
+
+
+def test_low_level_vertex_constraint_forces_a_wait():
+    # a one-row corridor: the only way round a blocked cell is to wait
+    grid = GridWorld(3, 1)
+    path, cost = _plan_one(grid, (0, 0), (0, 2), [Constraint(0, (0, 1), 1)])
+    assert path == [(0, 0), (0, 0), (0, 1), (0, 2)]
+    assert cost == 3.0
+
+
+def test_low_level_vertex_constraint_forces_a_detour():
+    # a wait is dearer than going round when waiting leaves the cell blocked
+    grid = GridWorld(3, 2)
+    cons = [Constraint(0, (0, 1), t) for t in range(1, 6)]
+    path, cost = _plan_one(grid, (0, 0), (0, 2), cons)
+    assert (0, 1) not in path
+    assert path == [(0, 0), (1, 0), (1, 1), (1, 2), (0, 2)]
+    assert cost == 4.0
+
+
+def test_low_level_edge_constraint_forbids_one_traversal():
+    grid = GridWorld(2, 1)
+    path, _ = _plan_one(grid, (0, 0), (0, 1))
+    assert path == [(0, 0), (0, 1)]
+    # the move (0,0) -> (0,1) is forbidden at tick 0 only
+    path, cost = _plan_one(grid, (0, 0), (0, 1), [Constraint(0, (0, 1), 0, cell_from=(0, 0))])
+    assert path == [(0, 0), (0, 0), (0, 1)]
+    assert cost == 2.0
+    # the reverse direction at tick 0 does not block this agent
+    path, _ = _plan_one(grid, (0, 0), (0, 1), [Constraint(0, (0, 0), 0, cell_from=(0, 1))])
+    assert path == [(0, 0), (0, 1)]
+
+
+def test_low_level_rests_at_goal_only_after_last_goal_constraint():
+    grid = GridWorld(3, 1)
+    # the goal is taken at tick 4, so the path may not end before tick 5
+    path, _ = _plan_one(grid, (0, 0), (0, 2), [Constraint(0, (0, 2), 4)])
+    assert path[-1] == (0, 2)
+    assert len(path) - 1 == 5
+    assert path[4] != (0, 2)
+    # a constraint elsewhere does not delay the end
+    path, _ = _plan_one(grid, (0, 0), (0, 2), [Constraint(0, (0, 0), 4)])
+    assert len(path) - 1 == 2
+
+
+def test_low_level_walled_off_goal_returns_none():
+    wall = frozenset((r, 2) for r in range(4))
+    grid = GridWorld(5, 4, obstacles=wall)
+    assert _plan_one(grid, (0, 0), (0, 4)) is None
+
+
+def test_low_level_cost_equals_path_cost_under_noise():
+    grid = GridWorld(7, 7, obstacles=frozenset({(3, 1), (3, 2), (3, 3), (3, 5)}))
+    for seed in range(10):
+        weights = sample_edge_weights(grid, 0.3, random.Random(seed))
+        cons = [Constraint(0, (3, 4), t) for t in range(3, 7)]
+        path, cost = _plan_one(grid, (0, 0), (6, 6), cons, weights)
+        assert path[0] == (0, 0) and path[-1] == (6, 6)
+        assert cost == _path_cost(path, weights)
+
+
+def test_cbs_plans_match_benchmark_reference_digests(monkeypatch):
+    """Criterion 7's 3-agent intersections replay to the CBS digests recorded
+    in bench/reference.json, so a change to any plan or expansion count fails
+    here. Gap-1 seed 15 is left out: it takes about a minute."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from checks import cbs_digest
+
+    reference = json.loads((BENCH / "reference.json").read_text())
+    mismatched = []
+    instances = [(9, seed) for seed in range(100)] + [(1, s) for s in range(40) if s != 15]
+    for gap, seed in instances:
+        scenario = make_scenario("intersection", 11, 11, 3, gap_size=gap, rng_seed=seed)
+        trace, result = run_cbs_trial(scenario, noise_sigma=0.3, variant="cbs")
+        key = f"intersection-11x11-n3-g{gap}:{seed}"
+        if trace is None or cbs_digest(trace, result) != reference[key]["digest"]:
+            mismatched.append(key)
+    assert mismatched == []

@@ -190,6 +190,14 @@ def test_cli_run_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("solvers = dijkstra\n")
     assert cli(["run", str(bad)]) == EXIT_CONFIG
+    # an override of 0 must fail validation, not fall back to the file's value
+    good = tmp_path / "good.cfg"
+    good.write_text(SMALL_CONFIG)
+    out = tmp_path / "out"
+    for flag in ("--trials", "--timeout", "--jobs"):
+        assert cli(["run", str(good), "--out", str(out), flag, "0"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_small_experiment(tmp_path, capsys):

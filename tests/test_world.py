@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from auctionmapf.world import (
@@ -14,7 +16,9 @@ from auctionmapf.world import (
     grid_from_ascii,
     grid_to_ascii,
     make_scenario,
+    scenario_from_dict,
     scenario_from_json,
+    scenario_to_dict,
     scenario_to_json,
     sweep_cells,
 )
@@ -193,6 +197,23 @@ def test_json_round_trip():
     assert [(a.pos, a.goal, a.incentive) for a in restored.agents] == [
         (a.pos, a.goal, a.incentive) for a in scenario.agents
     ]
+
+
+def test_scenario_from_dict_rejects_malformed_input():
+    good = scenario_to_dict(make_scenario("doorway", 10, 10, 3, gap_size=2, rng_seed=9))
+    for key in ("width", "height", "agents"):
+        data = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ScenarioError, match=f"missing key '{key}'"):
+            scenario_from_dict(data)
+    data = json.loads(json.dumps(good))
+    del data["agents"][1]["goal"]
+    with pytest.raises(ScenarioError, match="missing key 'goal'"):
+        scenario_from_dict(data)
+    for bad in ("2", 1.5, None, True, 0):
+        data = json.loads(json.dumps(good))
+        data["agents"][2]["incentive"] = bad
+        with pytest.raises(ScenarioError, match="agent 2 incentive"):
+            scenario_from_dict(data)
 
 
 def test_bfs_distance_basics():
