@@ -190,7 +190,6 @@ def plan_cbs(
     scenario: Scenario,
     noise_sigma: float = 0.0,
     variant: str = "cbs",
-    rng_seed: int = 0,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> CBSResult:
     """Best-first constraint-tree search over perturbed-cost single-agent plans."""
@@ -200,8 +199,8 @@ def plan_cbs(
         raise ValueError("noise_sigma must be >= 0")
     # weights are independent of the variant so cbs and cbs-random face the
     # same perturbed costs; only the frontier tie-break differs
-    rng = random.Random(f"{rng_seed}:{variant}")
-    weights_rng = random.Random(f"{rng_seed}:weights:{noise_sigma}")
+    rng = random.Random(f"{scenario.seed}:{variant}")
+    weights_rng = random.Random(f"{scenario.seed}:weights:{noise_sigma}")
     grid = scenario.grid
     weights = sample_edge_weights(grid, noise_sigma, weights_rng)
     moves = _move_table(grid, weights)
@@ -383,7 +382,6 @@ def run_cbs_trial(
         scenario,
         noise_sigma=noise_sigma,
         variant=variant,
-        rng_seed=scenario.seed,
         timeout=timeout,
     )
     if result.paths is None:

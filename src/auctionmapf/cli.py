@@ -6,7 +6,7 @@ Subcommands:
   auction demo ...       run one auction from explicit bids
   sweep-utility <config> emit utility-vs-bid curve data
 
-Exit codes: 0 success, 2 config error, 3 I/O error.
+Exit codes: 0 success, 2 malformed config, scenario or bid, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -59,59 +59,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str, args) -> harness.ExperimentConfig:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CLIError(EXIT_IO, f"cannot read config: {exc}")
-    try:
-        cfg = harness.parse_config(text)
-    except harness.ConfigError as exc:
-        raise _CLIError(EXIT_CONFIG, f"config error: {exc}")
+    with open(path) as fh:
+        cfg = harness.parse_config(fh.read())
     # an override of 0 is applied too, so validation rejects it
     for key in ("trials", "timeout", "jobs"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    try:
-        cfg.validate()
-    except harness.ConfigError as exc:
-        raise _CLIError(EXIT_CONFIG, f"config error: {exc}")
     return cfg
 
 
-class _CLIError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, args)
-    try:
-        records = harness.run_experiment(cfg, out_dir=args.out)
-    except ScenarioError as exc:
-        raise _CLIError(EXIT_CONFIG, f"scenario error: {exc}")
-    except OSError as exc:
-        raise _CLIError(EXIT_IO, f"cannot write results: {exc}")
+    records = harness.run_experiment(_load_config(args.config, args), out_dir=args.out)
     print(f"wrote {len(records)} trial records")
     return EXIT_OK
 
 
 def _cmd_scenario(args) -> int:
-    try:
-        scenario = make_scenario(
-            args.kind,
-            width=args.width,
-            height=args.height,
-            n_agents=args.agents,
-            gap_size=args.gap,
-            incentive_range=(args.incentive_min, args.incentive_max),
-            rng_seed=args.seed,
-            n_obstacles=args.obstacles,
-        )
-    except ScenarioError as exc:
-        raise _CLIError(EXIT_CONFIG, f"scenario error: {exc}")
+    scenario = make_scenario(
+        args.kind,
+        width=args.width,
+        height=args.height,
+        n_agents=args.agents,
+        gap_size=args.gap,
+        incentive_range=(args.incentive_min, args.incentive_max),
+        rng_seed=args.seed,
+        n_obstacles=args.obstacles,
+    )
     if args.action == "gen":
         print(scenario_to_json(scenario))
     else:
@@ -122,33 +96,21 @@ def _cmd_scenario(args) -> int:
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "/" in part:
-            num, den = part.split("/")
-            out.append(Fraction(int(num), int(den)))
-        else:
-            out.append(Fraction(part))
-    return out
+    return [Fraction(part) for part in text.split(",")]
 
 
 def _cmd_auction(args) -> int:
+    # every input comes from the command line, so a rejection by the parse,
+    # the bid and schedule checks or the auction itself is a config error
     try:
-        amounts = _parse_fractions(args.bids)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _CLIError(EXIT_CONFIG, f"bad bids: {exc}")
-    if len(amounts) < 2:
-        raise _CLIError(EXIT_CONFIG, "need at least two bids")
-    bids = [Bid(i, amount) for i, amount in enumerate(amounts)]
-    if args.schedule:
-        try:
+        bids = [Bid(i, amount) for i, amount in enumerate(_parse_fractions(args.bids))]
+        if args.schedule:
             schedule = RewardSchedule(tuple(_parse_fractions(args.schedule)))
-        except ValueError as exc:
-            raise _CLIError(EXIT_CONFIG, f"bad schedule: {exc}")
-    else:
-        schedule = harmonic_schedule(len(bids))
-    outcome = run_auction(bids, schedule=schedule)
+        else:
+            schedule = harmonic_schedule(len(bids))
+        outcome = run_auction(bids, schedule=schedule)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise harness.ConfigError(f"auction demo: {exc}") from exc
     order = outcome.turn_order()
     print("turn order (agent ids):", order)
     print("turns:", {aid: outcome.ordering[aid] for aid in sorted(outcome.ordering)})
@@ -159,36 +121,40 @@ def _cmd_auction(args) -> int:
 
 
 def _cmd_sweep_utility(args) -> int:
-    cfg = _load_config(args.config, args)
-    try:
-        rows = harness.sweep_utility_experiment(cfg, out_dir=args.out)
-    except ScenarioError as exc:
-        raise _CLIError(EXIT_CONFIG, f"scenario error: {exc}")
-    except OSError as exc:
-        raise _CLIError(EXIT_IO, f"cannot write results: {exc}")
+    rows = harness.sweep_utility_experiment(_load_config(args.config, args), out_dir=args.out)
     print(f"wrote {len(rows)} utility-curve points")
     return EXIT_OK
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "scenario": _cmd_scenario,
+    "auction": _cmd_auction,
+    "sweep-utility": _cmd_sweep_utility,
+}
+
+
 def cli(argv=None) -> int:
+    """Run one subcommand; the only place errors become exit codes.
+
+    Only the typed input errors are caught, so a bug still shows a traceback.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "scenario":
-            return _cmd_scenario(args)
-        if args.command == "auction":
-            return _cmd_auction(args)
-        if args.command == "sweep-utility":
-            return _cmd_sweep_utility(args)
-        return EXIT_CONFIG
-    except _CLIError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+        return _COMMANDS[args.command](args)
+    except (harness.ConfigError, UnicodeDecodeError) as exc:
+        # a config file that does not decode as text is malformed too
+        message, code = f"config error: {exc}", EXIT_CONFIG
+    except ScenarioError as exc:
+        message, code = f"scenario error: {exc}", EXIT_CONFIG
+    except OSError as exc:
+        message, code = f"I/O error: {exc}", EXIT_IO
+    print(message, file=sys.stderr)
+    return code
 
 
 def main() -> None:

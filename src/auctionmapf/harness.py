@@ -14,6 +14,9 @@ import os
 import time as _time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import inf
+from pathlib import Path
 from typing import Optional
 
 from . import cbs as cbs_mod
@@ -57,14 +60,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
+        # written as chained comparisons so that NaN fails them too
+        if not 0 < self.timeout < inf:
+            raise ConfigError("timeout must be positive and finite")
+        if not 0 <= self.noise_sigma < inf:
+            raise ConfigError("noise_sigma must be finite and >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.sweep not in SWEEP_FIELDS:
             raise ConfigError(f"sweep must be one of {SWEEP_FIELDS}")
         if self.sweep != "none" and not self.sweep_values:
             raise ConfigError("sweep_values must be nonempty when sweeping")
+        if not self.solvers or not self.kinds:
+            raise ConfigError("solvers and kind must be nonempty")
         for s in self.solvers:
             if s not in ALL_SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
@@ -73,7 +81,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scenario kind {k!r}")
 
     def sweep_points(self) -> tuple[int, ...]:
-        return self.sweep_values if self.sweep != "none" else (getattr(self, "n_agents"),)
+        return self.sweep_values if self.sweep != "none" else (self.n_agents,)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -134,11 +142,9 @@ def build_scenario(cfg: ExperimentConfig, kind: str, point: int, seed: int) -> S
         kind,
         width=cfg.width,
         height=cfg.height,
-        n_agents=params["n_agents"],
-        gap_size=params["gap_size"],
         incentive_range=cfg.incentive_range,
         rng_seed=seed,
-        n_obstacles=params["n_obstacles"],
+        **params,
     )
 
 
@@ -171,21 +177,22 @@ def run_one_trial(cfg: ExperimentConfig, solver: str, kind: str, point: int, ind
     return metrics_mod.score_trial(trace, scenario, runtime, solver)
 
 
-def _worker(args):
-    cfg_dict, solver, kind, point, index = args
-    cfg = ExperimentConfig(**cfg_dict)
-    return (solver, kind, point, index), run_one_trial(cfg, solver, kind, point, index)
+def _out_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> Path:
+    path = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_dir: Optional[str] = None, jobs: Optional[int] = None
+    cfg: ExperimentConfig, out_dir: Optional[str] = None
 ) -> list[metrics_mod.TrialRecord]:
-    """Run the full sweep and write trials.csv / aggregates.csv."""
-    cfg.validate()
-    jobs = jobs if jobs is not None else cfg.jobs
-    out_dir = out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    """Run the full sweep and write trials.csv / aggregates.csv.
 
+    With cfg.jobs > 1 the trials run in a process pool; either way the
+    records come back in key order, so the artifacts do not depend on jobs.
+    """
+    cfg.validate()
+    out_dir = _out_dir(cfg, out_dir)
     keys = [
         (solver, kind, point, index)
         for solver in cfg.solvers
@@ -193,60 +200,42 @@ def run_experiment(
         for point in cfg.sweep_points()
         for index in range(cfg.trials)
     ]
-    results: dict[tuple, metrics_mod.TrialRecord] = {}
-    if jobs > 1:
-        cfg_dict = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, rec in pool.map(_worker, [(cfg_dict, *k) for k in keys]):
-                results[key] = rec
+    map_args = (run_one_trial, repeat(cfg), *zip(*keys))
+    if cfg.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            records = list(pool.map(*map_args))
     else:
-        for key in keys:
-            results[key] = run_one_trial(cfg, *key)
+        records = list(map(*map_args))
 
-    records = [results[k] for k in keys]
     group_field = cfg.sweep if cfg.sweep != "none" else "n_agents"
     group_by = ("solver", "kind", group_field)
     aggs = metrics_mod.aggregate(records, group_by)
-
-    with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
-        fh.write(metrics_mod.trials_csv(records))
-    with open(os.path.join(out_dir, "aggregates.csv"), "w") as fh:
-        fh.write(metrics_mod.aggregates_csv(aggs, group_by))
+    (out_dir / "trials.csv").write_text(metrics_mod.trials_csv(records))
+    (out_dir / "aggregates.csv").write_text(metrics_mod.aggregates_csv(aggs, group_by))
     return records
 
 
 def sweep_utility_experiment(
-    cfg: ExperimentConfig,
-    out_dir: Optional[str] = None,
-    bid_step: Fraction = Fraction(1, 2),
-    bid_max: Optional[Fraction] = None,
+    cfg: ExperimentConfig, out_dir: Optional[str] = None
 ) -> list[tuple[int, float, float, float]]:
     """Utility-vs-bid curves for one conflict's contenders (plot data).
 
     The contenders and their true incentives come from the configured
     scenario; every other agent bids truthfully while the focal agent's bid
-    sweeps a grid.
+    sweeps 0 to twice the largest incentive in steps of 1/2.
     """
     cfg.validate()
-    out_dir = out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(cfg, out_dir)
     kind = cfg.kinds[0]
     seed = trial_seed(cfg.base_seed, "sweep-utility", kind, cfg.n_agents, 0)
     scenario = build_scenario(cfg, kind, cfg.n_agents, seed)
     bids = [Bid(a.id, Fraction(a.incentive)) for a in scenario.agents]
-    if bid_max is None:
-        bid_max = Fraction(max(a.incentive for a in scenario.agents) * 2)
-    grid = []
-    x = Fraction(0)
-    while x <= bid_max:
-        grid.append(x)
-        x += bid_step
+    grid = [Fraction(i, 2) for i in range(4 * max(a.incentive for a in scenario.agents) + 1)]
     schedule = harmonic_schedule(len(bids))
-    rows: list[tuple[int, float, float, float]] = []
-    for agent in scenario.agents:
-        curve = sweep_utilities(bids, agent.id, grid, schedule=schedule)
-        for bid, util in curve:
-            rows.append((agent.id, float(agent.incentive), float(bid), float(util)))
-    with open(os.path.join(out_dir, "utility_curves.csv"), "w") as fh:
-        fh.write(metrics_mod.utility_curves_csv(rows))
+    rows = [
+        (agent.id, float(agent.incentive), float(bid), float(util))
+        for agent in scenario.agents
+        for bid, util in sweep_utilities(bids, agent.id, grid, schedule=schedule)
+    ]
+    (out_dir / "utility_curves.csv").write_text(metrics_mod.utility_curves_csv(rows))
     return rows

@@ -158,36 +158,34 @@ def aggregate(
     return out
 
 
-def trials_csv(records: Iterable[TrialRecord]) -> str:
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIALS_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.csv_row())
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def trials_csv(records: Iterable[TrialRecord]) -> str:
+    return _csv(TRIALS_COLUMNS, (rec.csv_row() for rec in records))
 
 
 def aggregates_csv(records: Sequence[AggregateRecord], group_by: Sequence[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = list(group_by) + ["count"]
-    for metric in AGGREGATE_METRICS:
-        header += [f"{metric}_mean", f"{metric}_std", f"{metric}_ci95"]
-    writer.writerow(header)
-    for rec in records:
-        row = [rec.group[k] for k in group_by] + [rec.count]
-        for metric in AGGREGATE_METRICS:
-            mean, std, ci = rec.stats[metric]
-            row += [f"{mean:.6f}", f"{std:.6f}", f"{ci:.6f}"]
-        writer.writerow(row)
-    return buf.getvalue()
+    header += [f"{metric}_{stat}" for metric in AGGREGATE_METRICS for stat in ("mean", "std", "ci95")]
+    rows = (
+        [rec.group[k] for k in group_by]
+        + [rec.count]
+        + [f"{v:.6f}" for metric in AGGREGATE_METRICS for v in rec.stats[metric]]
+        for rec in records
+    )
+    return _csv(header, rows)
 
 
 def utility_curves_csv(curves: Iterable[tuple[int, float, float, float]]) -> str:
     """Rows of (agent_id, true_value, bid, utility)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(UTILITY_CURVE_COLUMNS)
-    for agent_id, true_value, bid, util in curves:
-        writer.writerow([agent_id, f"{true_value:.6f}", f"{bid:.6f}", f"{util:.6f}"])
-    return buf.getvalue()
+    rows = (
+        [agent_id, f"{true_value:.6f}", f"{bid:.6f}", f"{util:.6f}"]
+        for agent_id, true_value, bid, util in curves
+    )
+    return _csv(UTILITY_CURVE_COLUMNS, rows)

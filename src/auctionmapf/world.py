@@ -322,8 +322,8 @@ def make_scenario(
             goals.append(g)
     else:  # random-obstacles
         all_cells = [(r, c) for r in range(height) for c in range(width)]
-        if n_obstacles >= width * height:
-            raise ScenarioError("too many obstacles")
+        if not 0 <= n_obstacles < width * height:
+            raise ScenarioError(f"n_obstacles must be in [0, {width * height}), not {n_obstacles}")
         for _ in range(MAX_PLACEMENT_RETRIES):
             obstacle_cells = rng.sample(all_cells, n_obstacles)
             grid = GridWorld(width, height, frozenset(obstacle_cells))
@@ -389,30 +389,54 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _checked(value, what: str, *types: type):
+    # exact types, so a bool is not taken for an int
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise ScenarioError(f"{what} must be {names}, not {value!r}")
+    return value
+
+
+def _cell(value, what: str) -> Cell:
+    if type(value) not in (list, tuple) or len(value) != 2:
+        raise ScenarioError(f"{what} must be a [row, col] pair, not {value!r}")
+    return (_checked(value[0], what, int), _checked(value[1], what, int))
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    """Inverse of scenario_to_dict. A missing or wrongly typed field raises
+    ScenarioError, as does a scenario that fails validation."""
+    _checked(data, "scenario", dict)
     try:
+        obstacles = _checked(data.get("obstacles", []), "obstacles", list, tuple)
         grid = GridWorld(
-            width=data["width"],
-            height=data["height"],
-            obstacles=frozenset(tuple(c) for c in data.get("obstacles", [])),
+            width=_checked(data["width"], "width", int),
+            height=_checked(data["height"], "height", int),
+            obstacles=frozenset(_cell(c, "obstacle") for c in obstacles),
         )
         agents = []
-        for i, a in enumerate(data["agents"]):
+        for i, a in enumerate(_checked(data["agents"], "agents", list, tuple)):
+            _checked(a, f"agent {i}", dict)
             incentive = a["incentive"]
             if type(incentive) is not int or incentive < 1:
                 raise ScenarioError(f"agent {i} incentive must be an integer >= 1, not {incentive!r}")
             agents.append(
-                AgentState(id=i, pos=tuple(a["start"]), goal=tuple(a["goal"]), incentive=incentive)
+                AgentState(
+                    id=i,
+                    pos=_cell(a["start"], f"agent {i} start"),
+                    goal=_cell(a["goal"], f"agent {i} goal"),
+                    incentive=incentive,
+                )
             )
     except KeyError as exc:
         raise ScenarioError(f"scenario is missing key {exc}") from None
     scenario = Scenario(
         grid=grid,
         agents=agents,
-        kind=data.get("kind", "custom"),
-        gap_size=data.get("gap_size", 1),
-        n_obstacles=data.get("n_obstacles", 0),
-        seed=data.get("seed", 0),
+        kind=_checked(data.get("kind", "custom"), "kind", str),
+        gap_size=_checked(data.get("gap_size", 1), "gap_size", int),
+        n_obstacles=_checked(data.get("n_obstacles", 0), "n_obstacles", int),
+        seed=_checked(data.get("seed", 0), "seed", int),
     )
     scenario.validate()
     return scenario
@@ -423,4 +447,8 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    return scenario_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"scenario is not JSON: {exc}") from None
+    return scenario_from_dict(data)

@@ -124,8 +124,8 @@ def test_path_time_to_goal_ignores_trailing_waits():
 
 def test_plan_cbs_deterministic():
     scenario = make_scenario("intersection", 11, 11, 3, gap_size=1, rng_seed=21)
-    a = plan_cbs(scenario, noise_sigma=0.3, variant="cbs", rng_seed=scenario.seed)
-    b = plan_cbs(scenario, noise_sigma=0.3, variant="cbs", rng_seed=scenario.seed)
+    a = plan_cbs(scenario, noise_sigma=0.3, variant="cbs")
+    b = plan_cbs(scenario, noise_sigma=0.3, variant="cbs")
     assert a.paths == b.paths
     assert a.cost == b.cost
 
@@ -134,8 +134,8 @@ def test_variants_agree_without_cost_ties():
     # sigma > 0 gives continuous costs, so exact ties are absent and the
     # random tie-break cannot change which node is optimal
     scenario = make_scenario("doorway", 8, 8, 2, gap_size=1, rng_seed=5)
-    a = plan_cbs(scenario, noise_sigma=0.2, variant="cbs", rng_seed=scenario.seed)
-    b = plan_cbs(scenario, noise_sigma=0.2, variant="cbs-random", rng_seed=scenario.seed)
+    a = plan_cbs(scenario, noise_sigma=0.2, variant="cbs")
+    b = plan_cbs(scenario, noise_sigma=0.2, variant="cbs-random")
     assert abs(a.cost - b.cost) < 1e-9
 
 
