@@ -67,15 +67,12 @@ def sample_edge_weights(
 ) -> dict[frozenset[Cell], float]:
     """One weight per undirected free edge, fixed for the whole trial."""
     weights: dict[frozenset[Cell], float] = {}
-    for r in range(grid.height):
-        for c in range(grid.width):
-            cell = (r, c)
-            if not grid.is_free(cell):
-                continue
-            for nxt in ((r + 1, c), (r, c + 1)):
-                if grid.is_free(nxt):
-                    noise = rng.gauss(0.0, sigma) if sigma > 0 else 0.0
-                    weights[frozenset((cell, nxt))] = max(EDGE_WEIGHT_FLOOR, 1.0 + noise)
+    # row-major over cells, each edge drawn from its upper/left end: down, then right
+    for cell in grid.free_cells():
+        for nxt in grid.neighbors(cell):
+            if nxt > cell:
+                noise = rng.gauss(0.0, sigma) if sigma > 0 else 0.0
+                weights[frozenset((cell, nxt))] = max(EDGE_WEIGHT_FLOOR, 1.0 + noise)
     return weights
 
 
@@ -195,8 +192,9 @@ def plan_cbs(
     """Best-first constraint-tree search over perturbed-cost single-agent plans."""
     if variant not in CBS_VARIANTS:
         raise ValueError(f"variant must be one of {CBS_VARIANTS}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    # chained so that NaN fails it too
+    if not 0 <= noise_sigma < float("inf"):
+        raise ValueError("noise_sigma must be finite and >= 0")
     # weights are independent of the variant so cbs and cbs-random face the
     # same perturbed costs; only the frontier tie-break differs
     rng = random.Random(f"{scenario.seed}:{variant}")

@@ -8,7 +8,7 @@ worker pool; only the runtime_s column varies between runs.
 
 from __future__ import annotations
 
-import concurrent.futures
+import concurrent.futures  # lazy: multiprocessing loads only when a pool starts
 import hashlib
 import os
 import time as _time
@@ -188,8 +188,8 @@ def run_experiment(
 ) -> list[metrics_mod.TrialRecord]:
     """Run the full sweep and write trials.csv / aggregates.csv.
 
-    With cfg.jobs > 1 the trials run in a process pool; either way the
-    records come back in key order, so the artifacts do not depend on jobs.
+    Trials run in min(cfg.jobs, trials, CPUs) worker processes, or serially
+    for one; records come back in key order, so artifacts ignore jobs.
     """
     cfg.validate()
     out_dir = _out_dir(cfg, out_dir)
@@ -201,8 +201,10 @@ def run_experiment(
         for index in range(cfg.trials)
     ]
     map_args = (run_one_trial, repeat(cfg), *zip(*keys))
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the executor starts every worker up front, so never more than can run
+    workers = min(cfg.jobs, len(keys), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(*map_args))
     else:
         records = list(map(*map_args))

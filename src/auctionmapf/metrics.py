@@ -55,20 +55,16 @@ class TrialRecord:
     total_payments: float
 
     def csv_row(self) -> list:
-        return [
-            self.solver,
-            self.kind,
-            self.n_agents,
-            self.gap_size,
-            self.n_obstacles,
-            self.seed,
-            f"{self.runtime_s:.6f}",
-            int(self.completed),
-            self.collisions,
-            self.soc,
-            self.weighted_soc,
-            f"{self.welfare:.6f}",
-        ]
+        return [_csv_field(getattr(self, name)) for name in TRIALS_COLUMNS]
+
+
+def _csv_field(value):
+    """A bool as 0/1, a float to six decimals, anything else as it is."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
 
 
 @dataclass
@@ -89,7 +85,7 @@ def score_trial(
     arrived = {aid: t for aid, t in t_g.items() if t is not None}
     soc = sum(arrived.values())
     weighted_soc = sum(incentives[aid] * t for aid, t in arrived.items())
-    welfare = sum(incentives[aid] / t for aid, t in arrived.items() if t > 0)
+    welfare = sum((incentives[aid] / t for aid, t in arrived.items() if t > 0), 0.0)
     welfare += sum(float(incentives[aid]) for aid, t in arrived.items() if t == 0)
     utilities: dict[int, float] = {}
     total_payments = 0.0

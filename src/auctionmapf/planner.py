@@ -22,6 +22,7 @@ from .auction import AuctionOutcome, Bid, harmonic_schedule, run_auction
 from .potential import UNREACHABLE, PotentialMap, build_potential_maps
 from .world import (
     DIRECTIONS,
+    MOVES,
     AgentState,
     Cell,
     GridWorld,
@@ -34,7 +35,6 @@ from .world import (
 
 Proposals = dict[int, tuple[Cell, MoveAction]]  # agent id -> (position, move) this tick
 
-AXES = {"up": "row", "down": "row", "left": "col", "right": "col"}
 RESOLVERS = ("auction", "random-ordering", "fifo")
 
 # ticks an agent may sit blocked before it tries a one-step sidestep; descent
@@ -134,7 +134,7 @@ def _max_step(
         if not (0 <= r < height and 0 <= c < width):
             break
         val = values[r][c]
-        if val < 0 or val >= prev or (r, c) in occupied:
+        if val == UNREACHABLE or val >= prev or (r, c) in occupied:
             break
         prev = val
         tau += 1
@@ -151,10 +151,10 @@ def propose_move(
     goal = agent.goal
     pos = agent.pos
     best_by_axis: dict[str, tuple[str, int]] = {}
-    for direction in ("up", "down", "left", "right"):
+    for direction, dr, _ in MOVES:
         tau = _max_step(grid, pot, pos, direction, agent.incentive, occupied)
         if tau >= 1:
-            axis = AXES[direction]
+            axis = "row" if dr else "col"
             if axis not in best_by_axis or tau > best_by_axis[axis][1]:
                 best_by_axis[axis] = (direction, tau)
     if not best_by_axis:
@@ -184,8 +184,7 @@ def escape_move(
     values = pot.values
     r0, c0 = agent.pos
     candidates = []
-    for direction in ("up", "down", "left", "right"):
-        dr, dc = DIRECTIONS[direction]
+    for direction, dr, dc in MOVES:
         r, c = r0 + dr, c0 + dc
         if not (0 <= r < grid.height and 0 <= c < grid.width):
             continue
@@ -275,7 +274,7 @@ def try_reassign(
         agent = agents_by_id[aid]
         pot = potentials[agent.goal]
         tau = action.step
-        for direction in ("up", "down", "left", "right"):
+        for direction, _, _ in MOVES:
             if direction == action.direction:
                 continue
             # a straight sweep never re-enters its start, so `occupied` may

@@ -7,7 +7,6 @@ have no local minima, so greedy descent always makes progress when unblocked.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .world import UNREACHABLE, Cell, GridWorld, distances
@@ -20,16 +19,6 @@ class PotentialMap:
 
     def __getitem__(self, cell: Cell) -> int:
         return self.values[cell[0]][cell[1]]
-
-    def reachable(self, cell: Cell) -> bool:
-        return self[cell] != UNREACHABLE
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        for row in self.values:
-            buf.write(",".join(str(v) for v in row))
-            buf.write("\n")
-        return buf.getvalue()
 
 
 def build_potential_map(grid: GridWorld, goal: Cell) -> PotentialMap:

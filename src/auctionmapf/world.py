@@ -22,6 +22,11 @@ DIRECTIONS: dict[str, Cell] = {
     "wait": (0, 0),
 }
 
+# the four non-wait moves as (name, dr, dc); every neighbour walk reads this
+MOVES: tuple[tuple[str, int, int], ...] = tuple(
+    (name, dr, dc) for name, (dr, dc) in DIRECTIONS.items() if name != "wait"
+)
+
 SCENARIO_KINDS = ("doorway", "hallway", "intersection", "random-obstacles", "custom")
 
 MAX_PLACEMENT_RETRIES = 1000
@@ -46,9 +51,9 @@ class GridWorld:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ScenarioError("grid dimensions must be positive")
-        for (r, c) in self.obstacles:
-            if not (0 <= r < self.height and 0 <= c < self.width):
-                raise ScenarioError(f"obstacle {(r, c)} outside grid")
+        for cell in self.obstacles:
+            if not self.in_bounds(cell):
+                raise ScenarioError(f"obstacle {cell} outside grid")
 
     def in_bounds(self, cell: Cell) -> bool:
         r, c = cell
@@ -67,12 +72,7 @@ class GridWorld:
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         r, c = cell
-        out = []
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nxt = (r + dr, c + dc)
-            if self.is_free(nxt):
-                out.append(nxt)
-        return out
+        return [nxt for _, dr, dc in MOVES if self.is_free(nxt := (r + dr, c + dc))]
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,13 @@ class Scenario:
 
 
 def apply_action(pos: Cell, action: MoveAction, grid: GridWorld) -> Cell:
-    """Destination of a move; checks bounds along the full sweep, not occupancy."""
+    """Destination of a move; checks bounds, not occupancy. The grid is a
+    rectangle, so a straight sweep stays on it exactly when its end does."""
     dr, dc = DIRECTIONS[action.direction]
-    r, c = pos
-    for _ in range(action.step):
-        r, c = r + dr, c + dc
-        if not grid.in_bounds((r, c)):
-            raise IllegalActionError(f"sweep from {pos} {action.direction} x{action.step} leaves grid")
-    return (r, c)
+    end = (pos[0] + dr * action.step, pos[1] + dc * action.step)
+    if not grid.in_bounds(end):
+        raise IllegalActionError(f"sweep from {pos} {action.direction} x{action.step} leaves grid")
+    return end
 
 
 def sweep_cells(pos: Cell, action: MoveAction) -> list[Cell]:
@@ -166,7 +165,8 @@ def distances(grid: GridWorld, source: Cell) -> list[list[int]]:
     while queue:
         r, c = queue.popleft()
         d = values[r][c] + 1
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+        for _, dr, dc in MOVES:
+            nr, nc = r + dr, c + dc
             if (
                 0 <= nr < height
                 and 0 <= nc < width

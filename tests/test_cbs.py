@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from auctionmapf.cbs import (
+    EDGE_WEIGHT_FLOOR,
     Constraint,
     _low_level,
     _move_table,
@@ -50,6 +51,24 @@ def test_edge_weights_respect_floor():
     weights = sample_edge_weights(grid, 5.0, random.Random(3))
     assert all(w >= 0.01 for w in weights.values())
     assert len(set(weights.values())) > 1
+
+
+def test_edge_weights_drawn_in_row_major_order():
+    # . . #
+    # . . .
+    grid = GridWorld(3, 2, frozenset({(0, 2)}))
+    weights = sample_edge_weights(grid, 0.3, random.Random(11))
+    # each free cell in row-major order draws its down edge, then its right edge
+    assert list(weights) == [
+        frozenset({(0, 0), (1, 0)}),
+        frozenset({(0, 0), (0, 1)}),
+        frozenset({(0, 1), (1, 1)}),
+        frozenset({(1, 0), (1, 1)}),
+        frozenset({(1, 1), (1, 2)}),
+    ]
+    rng = random.Random(11)
+    for w in weights.values():
+        assert w == max(EDGE_WEIGHT_FLOOR, 1.0 + rng.gauss(0.0, 0.3))
 
 
 def test_single_agent_gets_shortest_path():
@@ -160,8 +179,9 @@ def test_invalid_arguments():
     scenario = make_scenario("doorway", 8, 8, 2, gap_size=1, rng_seed=0)
     with pytest.raises(ValueError):
         plan_cbs(scenario, variant="cbs-greedy")
-    with pytest.raises(ValueError):
-        plan_cbs(scenario, noise_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            plan_cbs(scenario, noise_sigma=sigma)
 
 
 def _plan_one(grid, start, goal, constraints=(), weights=None):

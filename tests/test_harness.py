@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionmapf import harness
 from auctionmapf.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, cli
 from auctionmapf.harness import (
     ConfigError,
@@ -152,13 +153,42 @@ def test_run_experiment_deterministic_apart_from_runtime(tmp_path):
     )
 
 
-def test_run_experiment_parallel_matches_serial(tmp_path):
+def test_run_experiment_parallel_matches_serial(tmp_path, monkeypatch):
+    # the worker bound counts CPUs; two keep the pool in use on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = parse_config(SMALL_CONFIG)
     run_experiment(dataclasses.replace(cfg, jobs=1), out_dir=str(tmp_path / "serial"))
     run_experiment(dataclasses.replace(cfg, jobs=2), out_dir=str(tmp_path / "parallel"))
     assert _strip_runtime(tmp_path / "serial" / "trials.csv") == _strip_runtime(
         tmp_path / "parallel" / "trials.csv"
     )
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2), (1, None), (None, None)])
+def test_run_experiment_caps_workers(tmp_path, monkeypatch, cpus, workers):
+    """At most min(jobs, trials, CPUs) workers, and no pool at all for one."""
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = dataclasses.replace(
+        parse_config(SMALL_CONFIG), solvers=("auction",), trials=3, jobs=10_000
+    )
+    assert len(run_experiment(cfg, out_dir=str(tmp_path))) == 3
+    assert started == ([] if workers is None else [workers])
 
 
 def test_sweep_utility_experiment(tmp_path):

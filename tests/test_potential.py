@@ -31,8 +31,7 @@ def test_obstacles_and_unreachable_cells_marked():
     pot = build_potential_map(grid, (0, 0))
     assert pot[(0, 2)] == UNREACHABLE  # obstacle
     assert pot[(0, 3)] == UNREACHABLE  # cut off behind the wall
-    assert not pot.reachable((0, 3))
-    assert pot.reachable((3, 1))
+    assert pot[(3, 1)] != UNREACHABLE
 
 
 def test_matches_dijkstra_oracle_on_random_grids():
@@ -69,7 +68,7 @@ def test_monotone_descent_no_local_minima():
         grid = GridWorld(10, 10, obstacles)
         pot = build_potential_map(grid, goal)
         for cell in free:
-            if cell == goal or not pot.reachable(cell):
+            if cell == goal or pot[cell] == UNREACHABLE:
                 continue
             assert any(pot[n] < pot[cell] for n in grid.neighbors(cell))
 
@@ -79,7 +78,7 @@ def test_goal_cell_is_zero_and_neighbors_increment():
     pot = build_potential_map(grid, (2, 3))
     assert pot[(2, 3)] == 0
     for cell in grid.free_cells():
-        if cell == (2, 3) or not pot.reachable(cell):
+        if cell == (2, 3) or pot[cell] == UNREACHABLE:
             continue
         assert pot[cell] == 1 + min(pot[n] for n in grid.neighbors(cell))
 
@@ -89,9 +88,3 @@ def test_build_potential_maps_one_per_distinct_goal():
     maps = build_potential_maps(grid, [(0, 0), (3, 3), (0, 0)])
     assert set(maps) == {(0, 0), (3, 3)}
     assert maps[(0, 0)].goal == (0, 0)
-
-
-def test_csv_dump():
-    grid = GridWorld(2, 2)
-    pot = build_potential_map(grid, (0, 0))
-    assert pot.to_csv() == "0,1\n1,2\n"
