@@ -77,7 +77,7 @@ class ExperimentConfig:
             if s not in ALL_SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
         for k in self.kinds:
-            if k not in SCENARIO_KINDS or k == "custom":
+            if k not in SCENARIO_KINDS:
                 raise ConfigError(f"unknown scenario kind {k!r}")
 
     def sweep_points(self) -> tuple[int, ...]:

@@ -212,39 +212,21 @@ def mover_index(proposals: Proposals) -> dict[Cell, set[int]]:
 def detect_conflicts(movers: dict[Cell, set[int]]) -> list[Conflict]:
     """Group agents whose same-tick sweeps share any cell of the
     `mover_index`; groups merge transitively so each agent lands in at most
-    one conflict."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    shared = {cell: aids for cell, aids in movers.items() if len(aids) > 1}
-    for aids in shared.values():
-        first = min(aids)
-        parent.setdefault(first, first)
-        for aid in aids:
-            parent.setdefault(aid, aid)
-            union(first, aid)
-
-    groups: dict[int, set[int]] = {}
-    for aid in parent:
-        groups.setdefault(find(aid), set()).add(aid)
-    # all users of a shared cell were merged into one group
-    least: dict[int, Cell] = {}
-    for cell, aids in shared.items():
-        root = find(min(aids))
-        least[root] = min(cell, least.get(root, cell))
-
-    conflicts = [Conflict(cell=cell, contenders=groups[root]) for root, cell in least.items()]
-    conflicts.sort(key=lambda c: c.cell)
+    one conflict, named by the least cell its members share."""
+    shared = sorted(cell for cell, aids in movers.items() if len(aids) > 1)
+    group: dict[int, set[int]] = {}
+    for cell in shared:
+        merged = set().union(*(group.get(aid, (aid,)) for aid in movers[cell]))
+        for aid in merged:
+            group[aid] = merged
+    # cells in order: a group is first met at its least shared cell
+    conflicts = []
+    named: set[int] = set()
+    for cell in shared:
+        aid = next(iter(movers[cell]))
+        if aid not in named:
+            named |= group[aid]
+            conflicts.append(Conflict(cell=cell, contenders=group[aid]))
     return conflicts
 
 

@@ -27,7 +27,7 @@ MOVES: tuple[tuple[str, int, int], ...] = tuple(
     (name, dr, dc) for name, (dr, dc) in DIRECTIONS.items() if name != "wait"
 )
 
-SCENARIO_KINDS = ("doorway", "hallway", "intersection", "random-obstacles", "custom")
+SCENARIO_KINDS = ("doorway", "hallway", "intersection", "random-obstacles")
 
 MAX_PLACEMENT_RETRIES = 1000
 
@@ -199,49 +199,10 @@ def _make_agents(
     ]
 
 
-def _doorway_grid(width: int, height: int, gap_size: int) -> tuple[GridWorld, int]:
-    wall_col = width // 2
-    if gap_size < 1 or gap_size >= height:
-        raise ScenarioError("gap_size must be in [1, height)")
-    gap_start = (height - gap_size) // 2
-    obstacles = frozenset(
-        (r, wall_col) for r in range(height) if not (gap_start <= r < gap_start + gap_size)
-    )
-    return GridWorld(width, height, obstacles), wall_col
-
-
-def _hallway_grid(width: int, height: int, gap_size: int) -> tuple[GridWorld, int, int]:
-    if gap_size < 1 or gap_size >= height:
-        raise ScenarioError("gap_size must be in [1, height)")
-    band_start = (height - gap_size) // 2
-    wall_len = max(2, width // 2)
-    c0 = (width - wall_len) // 2
-    c1 = c0 + wall_len - 1
-    if c0 < 1 or c1 >= width - 1:
-        raise ScenarioError("grid too narrow for hallway rooms")
-    obstacles = frozenset(
-        (r, c)
-        for r in range(height)
-        for c in range(c0, c1 + 1)
-        if not (band_start <= r < band_start + gap_size)
-    )
-    return GridWorld(width, height, obstacles), c0, c1
-
-
-def _intersection_grid(width: int, height: int, gap_size: int) -> tuple[GridWorld, range, range]:
-    if gap_size < 1 or gap_size >= min(width, height):
-        raise ScenarioError("gap_size must be in [1, min(width, height))")
-    r0 = (height - gap_size) // 2
-    c0 = (width - gap_size) // 2
-    rows = range(r0, r0 + gap_size)
-    cols = range(c0, c0 + gap_size)
-    obstacles = frozenset(
-        (r, c)
-        for r in range(height)
-        for c in range(width)
-        if r not in rows and c not in cols
-    )
-    return GridWorld(width, height, obstacles), rows, cols
+def _band(size: int, gap_size: int) -> range:
+    """The middle `gap_size` of `size` rows or columns: those a wall leaves open."""
+    start = (size - gap_size) // 2
+    return range(start, start + gap_size)
 
 
 def make_scenario(
@@ -259,58 +220,66 @@ def make_scenario(
     Deterministic given all arguments. Raises ScenarioError when placement is
     infeasible; never returns a partial scenario.
     """
-    if kind not in SCENARIO_KINDS or kind == "custom":
+    if kind not in SCENARIO_KINDS:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
     if n_agents < 1:
         raise ScenarioError("need at least one agent")
     rng = random.Random(rng_seed)
 
-    if kind == "doorway":
-        grid, wall_col = _doorway_grid(width, height, gap_size)
-        left = [(r, c) for r in range(height) for c in range(wall_col)]
-        right = [
-            (r, c)
-            for r in range(height)
-            for c in range(wall_col + 1, width)
-        ]
-        starts = _sample_distinct(rng, left, n_agents, "starts")
-        goals = _sample_distinct(rng, right, n_agents, "goals")
-    elif kind == "hallway":
-        grid, c0, c1 = _hallway_grid(width, height, gap_size)
-        left = [(r, c) for r in range(height) for c in range(c0) if grid.is_free((r, c))]
-        right = [(r, c) for r in range(height) for c in range(c1 + 1, width) if grid.is_free((r, c))]
-        n_left = (n_agents + 1) // 2
+    if kind in ("doorway", "hallway"):
+        # a wall over columns c0..c1 between two rooms, open in the gap rows;
+        # a doorway sends every agent left to right, a hallway the second half back
+        if gap_size < 1 or gap_size >= height:
+            raise ScenarioError("gap_size must be in [1, height)")
+        if kind == "doorway":
+            c0 = c1 = width // 2
+            n_left = n_agents
+        else:
+            wall_len = max(2, width // 2)
+            c0 = (width - wall_len) // 2
+            c1 = c0 + wall_len - 1
+            if c0 < 1 or c1 >= width - 1:
+                raise ScenarioError("grid too narrow for hallway rooms")
+            n_left = (n_agents + 1) // 2
+        gap = _band(height, gap_size)
+        wall = ((r, c) for r in range(height) if r not in gap for c in range(c0, c1 + 1))
+        grid = GridWorld(width, height, frozenset(wall))
+        left = [(r, c) for r in range(height) for c in range(c0)]
+        right = [(r, c) for r in range(height) for c in range(c1 + 1, width)]
         n_right = n_agents - n_left
         starts = _sample_distinct(rng, left, n_left, "left starts")
         starts += _sample_distinct(rng, right, n_right, "right starts")
-        goals = _sample_distinct(rng, [c for c in right if c not in starts], n_left, "right goals")
-        goals += _sample_distinct(rng, [c for c in left if c not in starts], n_right, "left goals")
+        taken = set(starts)
+        goals = _sample_distinct(rng, [c for c in right if c not in taken], n_left, "right goals")
+        goals += _sample_distinct(rng, [c for c in left if c not in taken], n_right, "left goals")
     elif kind == "intersection":
-        grid, rows, cols = _intersection_grid(width, height, gap_size)
+        if gap_size < 1 or gap_size >= min(width, height):
+            raise ScenarioError("gap_size must be in [1, min(width, height))")
+        # a wall in every corner, open in a band of rows and one of columns
+        rows, cols = _band(height, gap_size), _band(width, gap_size)
+        obstacles = frozenset(
+            (r, c) for r in range(height) if r not in rows for c in range(width) if c not in cols
+        )
+        grid = GridWorld(width, height, obstacles)
         arms = {
             "north": [(r, c) for r in range(rows.start) for c in cols],
             "south": [(r, c) for r in range(rows.stop, height) for c in cols],
             "west": [(r, c) for r in rows for c in range(cols.start)],
             "east": [(r, c) for r in rows for c in range(cols.stop, width)],
         }
-        # perpendicular arms only: straight-through pairs meet head-on in a
-        # shared corridor, which a descent-only planner cannot untangle
-        perpendicular = {
-            "north": ("west", "east"),
-            "south": ("west", "east"),
-            "west": ("north", "south"),
-            "east": ("north", "south"),
-        }
+        # the band starts at (size - gap_size) // 2 < size - gap_size, so the
+        # south and east arms always hold a cell; north and west can be empty
         arm_names = [a for a in ("north", "south", "west", "east") if arms[a]]
-        if not arm_names:
-            raise ScenarioError("intersection has no arm cells")
         starts, goals = [], []
         used_starts: set[Cell] = set()
         used_goals: set[Cell] = set()
         for i in range(n_agents):
             arm = arm_names[i % len(arm_names)]
             start_pool = [c for c in arms[arm] if c not in used_starts]
-            goal_arm = rng.choice([a for a in perpendicular[arm] if arms[a]])
+            # perpendicular arms only: straight-through pairs meet head-on in
+            # a shared corridor, which a descent-only planner cannot untangle
+            crossing = ("west", "east") if arm in ("north", "south") else ("north", "south")
+            goal_arm = rng.choice([a for a in crossing if arms[a]])
             goal_pool = [c for c in arms[goal_arm] if c not in used_goals]
             if not start_pool or not goal_pool:
                 raise ScenarioError("too many agents for intersection arms")

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own graph code: the distance oracle
 is a heap-based Dijkstra (vs the library's BFS flood), the sum-of-costs
 oracle searches the joint configuration space directly, the path-cost
-oracle re-adds a CBS path's edge weights step by step, and the collision
-audit re-derives sweeps from a trace's raw lines.
+oracle re-adds a CBS path's edge weights step by step, the collision audit
+re-derives sweeps from a trace's raw lines, and the conflict-group oracle
+floods "shares a cell" between raw sweeps.
 """
 
 from __future__ import annotations
@@ -124,3 +125,39 @@ def sweep_collisions(trace):
         for (tick, cell), aids in sorted(swept.items())
         if len(aids) > 1
     ]
+
+
+def sweep_conflict_groups(sweeps):
+    """Conflict groups of one tick's sweeps, from {agent id: (pos, direction,
+    step)} alone: the connected components of "two sweeps share a cell".
+    A waiting agent takes part in none, since no sweep enters an occupied cell.
+
+    Returns one (least shared cell, sorted agent ids) entry per group, sorted
+    by cell.
+    """
+    swept = {}
+    for aid, (pos, direction, step) in sweeps.items():
+        if direction == "wait":
+            continue
+        dr, dc = _UNIT[direction]
+        for k in range(step + 1):
+            swept.setdefault((pos[0] + dr * k, pos[1] + dc * k), set()).add(aid)
+    shared = {cell: aids for cell, aids in swept.items() if len(aids) > 1}
+    neighbours = {}
+    for aids in shared.values():
+        for aid in aids:
+            neighbours.setdefault(aid, set()).update(aids)
+    groups, seen = [], set()
+    for first in sorted(neighbours):
+        if first in seen:
+            continue
+        component, frontier = set(), [first]
+        while frontier:
+            aid = frontier.pop()
+            if aid not in component:
+                component.add(aid)
+                frontier.extend(neighbours[aid])
+        seen |= component
+        least = min(cell for cell, aids in shared.items() if aids & component)
+        groups.append((least, tuple(sorted(component))))
+    return sorted(groups)

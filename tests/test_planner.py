@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionmapf.planner import (
     Conflict,
@@ -20,10 +22,11 @@ from auctionmapf.world import (
     GridWorld,
     MoveAction,
     Scenario,
+    WAIT,
     make_scenario,
 )
 
-from helpers import sweep_collisions
+from helpers import sweep_collisions, sweep_conflict_groups
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -115,6 +118,27 @@ def test_detect_conflicts_merges_transitively():
     conflicts = detect_conflicts(mover_index(proposals))
     assert len(conflicts) == 1
     assert conflicts[0].contenders == {0, 1, 2}
+
+
+_SWEEP = st.tuples(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.sampled_from(("up", "down", "left", "right", "wait")),
+    st.integers(1, 3),
+).map(lambda s: s if s[1] != "wait" else (s[0], "wait", 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 40), _SWEEP, max_size=12))
+def test_detect_conflicts_are_the_components_of_shared_cells(sweeps):
+    """Start cells on a 6x6 grid; a sweep may run off it, which grouping
+    never looks at."""
+    proposals = {
+        aid: (pos, WAIT if direction == "wait" else MoveAction(direction, step))
+        for aid, (pos, direction, step) in sweeps.items()
+    }
+    conflicts = detect_conflicts(mover_index(proposals))
+    found = [(c.cell, tuple(sorted(c.contenders))) for c in conflicts]
+    assert found == sweep_conflict_groups(sweeps)
 
 
 def test_try_reassign_moves_agent_with_equal_alternative():
@@ -359,17 +383,24 @@ def test_sweep_audit_frees_an_arrived_goal():
 
 
 def test_traces_match_benchmark_reference_digests(monkeypatch):
-    """Two criterion-4 cells replay to the digests recorded in
-    bench/reference.json, so a change to any trace or auction log fails here."""
+    """Two criterion-4 cells, and the hallway cell's six shortest trials,
+    replay to the digests recorded in bench/reference.json, so a change to
+    any trace or auction log fails here."""
     monkeypatch.syspath_prepend(str(BENCH))
     from checks import planner_digest
 
     reference = json.loads((BENCH / "reference.json").read_text())
+    cases = [
+        (cell, seed)
+        for cell in (("doorway", 14, 14, 20, 2), ("intersection", 16, 16, 20, 4))
+        for seed in range(100)
+    ]
+    # its six shortest reference trials: 21, 80, 39, 90 and 54 complete, 45 deadlocks
+    cases += [(("hallway", 20, 20, 50, 3), seed) for seed in (21, 80, 39, 90, 54, 45)]
     mismatched = []
-    for kind, width, height, n, gap in (("doorway", 14, 14, 20, 2), ("intersection", 16, 16, 20, 4)):
-        for seed in range(100):
-            scenario = make_scenario(kind, width, height, n, gap_size=gap, rng_seed=seed)
-            key = f"{kind}-{width}x{height}-n{n}-g{gap}:{seed}"
-            if planner_digest(run_trial(scenario, resolver="auction")) != reference[key]["digest"]:
-                mismatched.append(key)
+    for (kind, width, height, n, gap), seed in cases:
+        scenario = make_scenario(kind, width, height, n, gap_size=gap, rng_seed=seed)
+        key = f"{kind}-{width}x{height}-n{n}-g{gap}:{seed}"
+        if planner_digest(run_trial(scenario, resolver="auction")) != reference[key]["digest"]:
+            mismatched.append(key)
     assert mismatched == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -147,6 +148,33 @@ def test_scenario_generation_is_deterministic():
     a = make_scenario("random-obstacles", 10, 10, 5, rng_seed=42, n_obstacles=12)
     b = make_scenario("random-obstacles", 10, 10, 5, rng_seed=42, n_obstacles=12)
     assert scenario_to_json(a) == scenario_to_json(b)
+
+
+# SHA-256 of the matrix below; a change to any generated scenario, or to
+# which inputs are rejected, changes it
+GENERATED_SCENARIOS_SHA256 = "cf634c3c88c2c7f8f5c541faa3069a654f09ae166fe053cb2f3a15f86cea28de"
+
+
+def test_generated_scenarios_match_pinned_digest():
+    """Every kind over small to bench-sized grids, gaps and seeds, hashed as
+    scenario JSON, or as "rejected" where ScenarioError is raised (the
+    message is not hashed)."""
+    digest = hashlib.sha256()
+    for kind in ("doorway", "hallway", "intersection", "random-obstacles"):
+        for width, height in ((3, 5), (4, 3), (7, 9), (12, 12), (20, 20)):
+            for n_agents in (3, 20):
+                for gap in (1, 3, 9):
+                    for seed in range(4):
+                        try:
+                            text = scenario_to_json(make_scenario(
+                                kind, width, height, n_agents, gap_size=gap, rng_seed=seed,
+                                n_obstacles=width * height // 5,
+                            ))
+                        except ScenarioError:
+                            text = "rejected"
+                        key = f"{kind} {width}x{height} n{n_agents} g{gap} s{seed}"
+                        digest.update(f"{key}\n{text}\n".encode())
+    assert digest.hexdigest() == GENERATED_SCENARIOS_SHA256
 
 
 def test_scenario_validation_rejects_duplicates():
