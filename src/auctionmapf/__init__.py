@@ -9,13 +9,9 @@ from .auction import (
     AuctionOutcome,
     Bid,
     RewardSchedule,
-    allocate,
-    delay_schedule,
     harmonic_schedule,
-    payment,
     run_auction,
     sweep_utilities,
-    utility,
 )
 from .cbs import CBSResult, Constraint, execute_multihop, plan_cbs, run_cbs_trial
 from .harness import ExperimentConfig, parse_config, run_experiment, sweep_utility_experiment

@@ -77,13 +77,6 @@ def harmonic_schedule(k: int) -> RewardSchedule:
     return RewardSchedule(tuple(Fraction(1, q) for q in range(1, k + 1)))
 
 
-def delay_schedule(k: int, head_start: int) -> RewardSchedule:
-    """Alternative schedule alpha_q = 1/(d + q - 1), d = winner's remaining distance."""
-    if head_start < 1:
-        raise ValueError("head_start must be >= 1")
-    return RewardSchedule(tuple(Fraction(1, head_start + q - 1) for q in range(1, k + 1)))
-
-
 @dataclass(frozen=True)
 class AuctionOutcome:
     ordering: dict[int, int]          # agent_id -> turn (1-based)
@@ -95,37 +88,12 @@ class AuctionOutcome:
         return [aid for aid, _ in sorted(self.ordering.items(), key=lambda kv: kv[1])]
 
 
-def allocate(bids: Sequence[Bid]) -> dict[int, int]:
-    """Turn permutation: q-th highest bid gets turn q.
-
-    Ties go to the earlier-arriving contender, then to the lower agent id.
-    """
-    if not bids:
-        raise ValueError("cannot allocate with no bids")
-    return {b.agent_id: q for q, b in enumerate(_rank(bids), start=1)}
-
-
 def _rank(bids: Sequence[Bid]) -> list[Bid]:
     """Bids in turn order: descending amount, then earlier arrival, then lower id."""
     # the second sort is stable (reverse=True keeps equal keys in order), so
     # the tie-breaks of the first survive it
     by_tie_break = sorted(bids, key=lambda b: (b.arrival, b.agent_id))
     return sorted(by_tie_break, key=lambda b: b.amount, reverse=True)
-
-
-def payment(amounts_sorted_desc: Sequence[Fraction], q: int, schedule: RewardSchedule) -> Fraction:
-    """Charge for turn q: sum_{j=q..k} b_{j+1} (alpha_j - alpha_{j+1}).
-
-    Boundary convention b_{k+1} = 0, alpha_{k+1} = 0, so the last turn pays 0.
-    """
-    k = len(amounts_sorted_desc)
-    if not 1 <= q <= k:
-        raise ValueError(f"turn {q} out of range for {k} bids")
-    total = Fraction(0)
-    for j in range(q, k + 1):
-        b_next = as_fraction(amounts_sorted_desc[j]) if j < k else Fraction(0)
-        total += b_next * (schedule.alpha(j) - schedule.alpha(j + 1))
-    return total
 
 
 def _settle(
@@ -136,7 +104,8 @@ def _settle(
     `amounts` are the bids in turn order (descending), `values` the turn
     holders' true values. Payments come from one reverse pass: turn q's
     charge is turn q+1's plus b_{q+1}(alpha_q - alpha_{q+1}), so payments[i]
-    equals payment(amounts, i + 1, schedule). The sums run on integers over
+    equals the closed form helpers.payment(amounts, i + 1, schedule) in
+    tests/helpers.py. The sums run on integers over
     one common denominator, so each result is reduced once instead of after
     every operation; being exact, they equal the Fraction sums.
     """
@@ -153,11 +122,6 @@ def _settle(
     payments = [Fraction(n, den) for n in dues]
     utilities = [Fraction(g - n, den) for g, n in zip(gains, dues)]
     return payments, utilities, Fraction(sum(gains), den)
-
-
-def utility(value, q: int, pay, schedule: RewardSchedule) -> Fraction:
-    """Phi = value x alpha_q - payment: a turn-q holder's utility at its true value."""
-    return as_fraction(value) * schedule.alpha(q) - as_fraction(pay)
 
 
 def run_auction(
@@ -195,26 +159,22 @@ def sweep_utilities(
     focal_agent: int,
     bid_grid: Iterable,
     schedule: Optional[RewardSchedule] = None,
-    true_value=None,
 ) -> list[tuple[Fraction, Fraction]]:
     """Utility curve for one agent as its bid varies, others held fixed.
 
-    The focal agent's true value defaults to its listed bid amount (others
-    are assumed truthful). Returns (bid, utility) points for plotting.
+    Every agent's true value is its listed bid amount, the focal agent's
+    included. Returns (bid, utility) points for plotting.
     """
-    by_id = {b.agent_id: b for b in bids}
-    if focal_agent not in by_id:
+    values = {b.agent_id: b.amount for b in bids}
+    if focal_agent not in values:
         raise ValueError(f"agent {focal_agent} not among bidders")
     grid = [as_fraction(x) for x in bid_grid]
     if not grid:
         raise ValueError("bid grid is empty")
-    value = as_fraction(true_value) if true_value is not None else by_id[focal_agent].amount
-    values = {b.agent_id: b.amount for b in bids}
-    values[focal_agent] = value
     if len(bids) == 1:
         # degenerate single-contender case: no auction, flat curve at full reward
         sched = schedule if schedule is not None else harmonic_schedule(1)
-        return [(x, value * sched.alpha(1)) for x in grid]
+        return [(x, values[focal_agent] * sched.alpha(1)) for x in grid]
     curve = []
     for x in grid:
         trial_bids = [

@@ -172,7 +172,6 @@ def run_one_trial(cfg: ExperimentConfig, solver: str, kind: str, point: int, ind
                 lines=[],
                 ticks=0,
                 completed=False,
-                timed_out=True,
             )
     return metrics_mod.score_trial(trace, scenario, runtime, solver)
 

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .planner import SimulationTrace
 from .world import Scenario
@@ -47,11 +47,9 @@ class TrialRecord:
     runtime_s: float
     completed: bool
     collisions: int
-    time_to_goal: dict[int, Optional[int]]
     soc: int
     weighted_soc: int
     welfare: float
-    utilities: dict[int, float]
     total_payments: float
 
     def csv_row(self) -> list:
@@ -81,17 +79,13 @@ def score_trial(
     solver: str,
 ) -> TrialRecord:
     incentives = {a.id: a.incentive for a in scenario.agents}
-    t_g = dict(trace.arrival_times)
-    arrived = {aid: t for aid, t in t_g.items() if t is not None}
+    arrived = {aid: t for aid, t in trace.arrival_times.items() if t is not None}
     soc = sum(arrived.values())
     weighted_soc = sum(incentives[aid] * t for aid, t in arrived.items())
     welfare = sum((incentives[aid] / t for aid, t in arrived.items() if t > 0), 0.0)
     welfare += sum(float(incentives[aid]) for aid, t in arrived.items() if t == 0)
-    utilities: dict[int, float] = {}
     total_payments = 0.0
     for rc in trace.conflicts:
-        for aid, u in rc.ordering.utilities.items():
-            utilities[aid] = utilities.get(aid, 0.0) + float(u)
         total_payments += float(sum(rc.ordering.payments.values()))
     return TrialRecord(
         solver=solver,
@@ -103,11 +97,9 @@ def score_trial(
         runtime_s=runtime_s,
         completed=trace.completed,
         collisions=len(trace.collisions),
-        time_to_goal=t_g,
         soc=soc,
         weighted_soc=weighted_soc,
         welfare=welfare,
-        utilities=utilities,
         total_payments=total_payments,
     )
 

@@ -85,7 +85,6 @@ class SimulationTrace:
     ticks: int
     completed: bool
     deadlocked: bool = False
-    timed_out: bool = False
     guard_waits: int = 0
 
     def export_lines(self) -> str:
@@ -171,7 +170,7 @@ def escape_move(
     pot: PotentialMap,
     agent: AgentState,
     occupied: set[Cell],
-    tabu: Sequence[Cell] = (),
+    tabu: Sequence[Cell],
 ) -> MoveAction:
     """One-step sidestep for an agent that has been blocked for a while.
 
@@ -501,14 +500,13 @@ def run_trial(
         raise ValueError("tick_limit must be >= 1")
 
     trial = _Trial(scenario, resolver)
-    deadlocked = timed_out = False
+    deadlocked = False
     start_time = _time.monotonic()
     while trial.t < tick_limit:
         active = [a for a in trial.agents if not a.arrived]
         if not active:
             break
         if timeout is not None and _time.monotonic() - start_time > timeout:
-            timed_out = True
             break
         proposals = trial.propose(active)
         trial.resolve(proposals)
@@ -527,6 +525,5 @@ def run_trial(
         ticks=trial.t,
         completed=all(a.arrived for a in agents),
         deadlocked=deadlocked,
-        timed_out=timed_out,
         guard_waits=trial.guard_waits,
     )

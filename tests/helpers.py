@@ -2,16 +2,23 @@
 
 These deliberately avoid the library's own graph code: the distance oracle
 is a heap-based Dijkstra (vs the library's BFS flood), the sum-of-costs
-oracle searches the joint configuration space directly, the path-cost
-oracle re-adds a CBS path's edge weights step by step, the collision audit
+oracles search the joint configuration space directly (A* under the summed
+distance fields, and uninformed as a check on it), the path-cost oracle
+re-adds a CBS path's edge weights step by step, the collision audit
 re-derives sweeps from a trace's raw lines, and the conflict-group oracle
 floods "shares a cell" between raw sweeps.
+
+The auction's closed forms live here too, as oracles for the one-pass
+`auction._rank` and `auction._settle`: `allocate` (the q-th highest bid
+gets turn q), `payment` (turn q's externality charge, summed term by term)
+and `utility` (value x alpha_q - payment).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
 
 
 def dijkstra_distance_field(width, height, obstacles, goal):
@@ -36,8 +43,8 @@ def dijkstra_distance_field(width, height, obstacles, goal):
     return field
 
 
-def joint_soc_oracle(grid, starts, goals, credit_cap=12):
-    """Optimal sum-of-costs over the joint configuration space.
+def _joint_successors(grid, positions, credits, goals, credit_cap):
+    """(cost, next state) for every collision-free joint move.
 
     Cost accounting matches the usual MAPF convention: an agent pays one per
     tick until it reaches its goal for the last time; waiting at the goal is
@@ -45,48 +52,75 @@ def joint_soc_oracle(grid, starts, goals, credit_cap=12):
     charged retroactively (tracked as per-agent credits). Vertex and swap
     collisions are forbidden.
     """
-    k = len(starts)
-    start_state = (tuple(starts), (0,) * k)
+    k = len(positions)
+    per_agent = []
+    for i, pos in enumerate(positions):
+        options = []
+        at_goal = pos == goals[i]
+        # waiting
+        if at_goal:
+            if credits[i] < credit_cap:
+                options.append((pos, 0, credits[i] + 1))
+        else:
+            options.append((pos, 1, 0))
+        for nxt in grid.neighbors(pos):
+            cost = (credits[i] + 1) if at_goal else 1
+            options.append((nxt, cost, 0))
+        per_agent.append(options)
+    for combo in itertools.product(*per_agent):
+        new_positions = tuple(opt[0] for opt in combo)
+        if len(set(new_positions)) != k:
+            continue
+        if any(
+            new_positions[i] == positions[j] and new_positions[j] == positions[i]
+            for i in range(k)
+            for j in range(i + 1, k)
+            if new_positions[i] != positions[i]
+        ):
+            continue
+        yield sum(opt[1] for opt in combo), (new_positions, tuple(opt[2] for opt in combo))
+
+
+def _joint_search(grid, starts, goals, credit_cap, h):
+    """Best-first search over joint (positions, credits) states by g + h(positions)."""
+    start_state = (tuple(starts), (0,) * len(starts))
     best = {start_state: 0}
-    heap = [(0, start_state)]
+    heap = [(h(start_state[0]), 0, start_state)]
     while heap:
-        g, (positions, credits) = heapq.heappop(heap)
+        _, g, (positions, credits) = heapq.heappop(heap)
         if g > best.get((positions, credits), float("inf")):
             continue
         if all(p == goal for p, goal in zip(positions, goals)):
             return g
-        per_agent = []
-        for i, pos in enumerate(positions):
-            options = []
-            at_goal = pos == goals[i]
-            # waiting
-            if at_goal:
-                if credits[i] < credit_cap:
-                    options.append((pos, 0, credits[i] + 1))
-            else:
-                options.append((pos, 1, 0))
-            for nxt in grid.neighbors(pos):
-                cost = (credits[i] + 1) if at_goal else 1
-                options.append((nxt, cost, 0))
-            per_agent.append(options)
-        for combo in itertools.product(*per_agent):
-            new_positions = tuple(opt[0] for opt in combo)
-            if len(set(new_positions)) != k:
-                continue
-            if any(
-                new_positions[i] == positions[j] and new_positions[j] == positions[i]
-                for i in range(k)
-                for j in range(i + 1, k)
-                if new_positions[i] != positions[i]
-            ):
-                continue
-            ng = g + sum(opt[1] for opt in combo)
-            new_credits = tuple(opt[2] for opt in combo)
-            key = (new_positions, new_credits)
+        for cost, key in _joint_successors(grid, positions, credits, goals, credit_cap):
+            ng = g + cost
             if ng < best.get(key, float("inf")):
                 best[key] = ng
-                heapq.heappush(heap, (ng, key))
+                heapq.heappush(heap, (ng + h(key[0]), ng, key))
     raise RuntimeError("joint search exhausted without reaching the goals")
+
+
+def joint_soc_oracle(grid, starts, goals, credit_cap=12):
+    """Optimal sum-of-costs over the joint configuration space, by A*.
+
+    The heuristic sums each agent's `dijkstra_distance_field` distance to its
+    goal. It is consistent: a step off the goal costs >= 1 and brings the
+    agent at most 1 closer, leaving the goal costs credits + 1 >= 1, and
+    waiting at the goal costs 0 and leaves the distance as it is. So the
+    first goal state popped is optimal, as in `joint_soc_dijkstra`.
+    """
+    fields = [dijkstra_distance_field(grid.width, grid.height, grid.obstacles, g) for g in goals]
+
+    def h(positions):
+        return sum(field[r][c] for field, (r, c) in zip(fields, positions))
+
+    return _joint_search(grid, starts, goals, credit_cap, h)
+
+
+def joint_soc_dijkstra(grid, starts, goals, credit_cap=12):
+    """`joint_soc_oracle` without a heuristic: uninformed Dijkstra over the
+    same states, successors and costs."""
+    return _joint_search(grid, starts, goals, credit_cap, lambda positions: 0)
 
 
 def path_cost(path, weights):
@@ -161,3 +195,34 @@ def sweep_conflict_groups(sweeps):
         least = min(cell for cell, aids in shared.items() if aids & component)
         groups.append((least, tuple(sorted(component))))
     return sorted(groups)
+
+
+def allocate(bids):
+    """Turn permutation: q-th highest bid gets turn q.
+
+    Ties go to the earlier-arriving contender, then to the lower agent id.
+    """
+    if not bids:
+        raise ValueError("cannot allocate with no bids")
+    ranked = sorted(bids, key=lambda b: (-b.amount, b.arrival, b.agent_id))
+    return {b.agent_id: q for q, b in enumerate(ranked, start=1)}
+
+
+def payment(amounts_sorted_desc, q, schedule):
+    """Charge for turn q: sum_{j=q..k} b_{j+1} (alpha_j - alpha_{j+1}).
+
+    Boundary convention b_{k+1} = 0, alpha_{k+1} = 0, so the last turn pays 0.
+    """
+    k = len(amounts_sorted_desc)
+    if not 1 <= q <= k:
+        raise ValueError(f"turn {q} out of range for {k} bids")
+    total = Fraction(0)
+    for j in range(q, k + 1):
+        b_next = Fraction(amounts_sorted_desc[j]) if j < k else Fraction(0)
+        total += b_next * (schedule.alpha(j) - schedule.alpha(j + 1))
+    return total
+
+
+def utility(value, q, pay, schedule):
+    """Phi = value x alpha_q - payment: a turn-q holder's utility at its true value."""
+    return Fraction(value) * schedule.alpha(q) - Fraction(pay)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from auctionmapf.auction import (
     Bid,
     harmonic_schedule,
-    payment,
     run_auction,
     sweep_utilities,
 )
@@ -33,7 +32,7 @@ from auctionmapf.world import (
     sweep_cells,
 )
 
-from helpers import joint_soc_oracle, sweep_collisions
+from helpers import joint_soc_oracle, payment, sweep_collisions
 
 F = Fraction
 

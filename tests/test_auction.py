@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from auctionmapf.auction import (
     Bid,
     RewardSchedule,
-    allocate,
-    delay_schedule,
     harmonic_schedule,
-    payment,
     run_auction,
     sweep_utilities,
-    utility,
 )
+
+from helpers import allocate, payment, utility
 
 F = Fraction
 
@@ -96,13 +94,6 @@ def test_schedule_validation():
         sched.alpha(0)
 
 
-def test_delay_schedule():
-    sched = delay_schedule(3, head_start=4)
-    assert sched.alphas == (F(1, 4), F(1, 5), F(1, 6))
-    with pytest.raises(ValueError):
-        delay_schedule(3, head_start=0)
-
-
 def test_negative_bid_rejected():
     with pytest.raises(ValueError):
         Bid(0, F(-1))
@@ -153,8 +144,8 @@ def test_welfare_matches_permutation_brute_force(values):
 @settings(max_examples=100, deadline=None)
 @given(values=values_strategy, scale=st.integers(min_value=1, max_value=20))
 def test_ordering_invariant_under_positive_scaling(values, scale):
-    base = allocate([Bid(i, F(v)) for i, v in enumerate(values)])
-    scaled = allocate([Bid(i, F(v * scale)) for i, v in enumerate(values)])
+    base = run_auction([Bid(i, F(v)) for i, v in enumerate(values)]).ordering
+    scaled = run_auction([Bid(i, F(v * scale)) for i, v in enumerate(values)]).ordering
     assert base == scaled
 
 
@@ -181,14 +172,25 @@ def test_payments_nonincreasing_in_turn(values):
     arrivals=st.lists(st.integers(min_value=0, max_value=3), min_size=50, max_size=50),
     halves=st.lists(st.integers(min_value=0, max_value=200), min_size=50, max_size=50),
     extra_turns=st.integers(min_value=0, max_value=3),
+    data=st.data(),
 )
-def test_run_auction_matches_payment_and_utility_rules(bids, arrivals, halves, extra_turns):
+def test_run_auction_matches_payment_and_utility_rules(
+    bids, arrivals, halves, extra_turns, data
+):
     k = len(bids)
-    schedule = harmonic_schedule(k + extra_turns)
+    n = k + extra_turns
+    drops = data.draw(st.none() | st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    if drops is None:
+        schedule = harmonic_schedule(n)
+    else:
+        # alpha_q = sum of drops[j-1] / j over j >= q: positive, strictly
+        # decreasing, and over mixed denominators
+        terms = [F(d, j) for j, d in enumerate(drops, start=1)]
+        schedule = RewardSchedule(tuple(sum(terms[q:]) for q in range(n)))
     true_values = {i: F(halves[i], 2) for i in range(k)}
-    outcome = run_auction(
-        [Bid(i, F(b), arrivals[i]) for i, b in enumerate(bids)], schedule, true_values
-    )
+    bid_list = [Bid(i, F(b), arrivals[i]) for i, b in enumerate(bids)]
+    outcome = run_auction(bid_list, schedule, true_values)
+    assert outcome.ordering == allocate(bid_list)
     amounts_desc = sorted((F(b) for b in bids), reverse=True)
     for aid, q in outcome.ordering.items():
         pay = payment(amounts_desc, q, schedule)
@@ -202,7 +204,8 @@ def test_run_auction_matches_payment_and_utility_rules(bids, arrivals, halves, e
 @settings(max_examples=100, deadline=None)
 @given(values=values_strategy)
 def test_properties_hold_for_delay_schedule(values):
-    schedule = delay_schedule(len(values), head_start=3)
+    # the delay schedule alpha_q = 1/(d + q - 1) with head start d = 3
+    schedule = RewardSchedule(tuple(F(1, 2 + q) for q in range(1, len(values) + 1)))
     true_values = {i: F(v) for i, v in enumerate(values)}
     truthful = run_auction(
         [Bid(i, F(v)) for i, v in enumerate(values)], schedule, true_values
@@ -229,7 +232,7 @@ def test_sweep_utilities_flat_for_single_contender():
 def test_sweep_utilities_peaks_at_true_value():
     bids = [Bid(0, F(5)), Bid(1, F(3))]
     grid = [F(x, 2) for x in range(0, 21)]
-    curve = sweep_utilities(bids, 1, grid, true_value=F(3))
+    curve = sweep_utilities(bids, 1, grid)  # agent 1's true value is its bid, 3
     by_bid = dict(curve)
     best = max(by_bid.values())
     assert by_bid[F(3)] == best

@@ -19,7 +19,7 @@ from auctionmapf.cbs import (
 )
 from auctionmapf.world import AgentState, GridWorld, Scenario, distances, make_scenario
 
-from helpers import joint_soc_oracle, path_cost
+from helpers import joint_soc_dijkstra, joint_soc_oracle, path_cost
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -92,6 +92,33 @@ def test_crossing_agents_plan_is_collision_free_and_optimal():
     assert soc == oracle
     trace = execute_multihop(result.paths, {0: 1, 1: 1})
     assert trace.collisions == []
+
+
+def test_joint_search_oracles_agree():
+    # a corridor (0,0)..(0,4) with one bay below its middle cell (1,2)
+    bay = GridWorld(5, 2, frozenset({(1, 0), (1, 1), (1, 3), (1, 4)}))
+    hand_made = [
+        # head-on crossing: one agent waits a tick
+        (GridWorld(5, 5), [(2, 0), (0, 2)], [(2, 4), (4, 2)], 9),
+        # head-on in the corridor: one agent backs into the bay, 5 + 6
+        (bay, [(0, 0), (0, 4)], [(0, 4), (0, 0)], 11),
+        # an agent on its goal steps into the bay and back (arrives at 3)
+        (bay, [(0, 2), (0, 0)], [(0, 2), (0, 4)], 7),
+        # three agents turn two cells round a ring, in step
+        (GridWorld(3, 3, frozenset({(1, 1)})), [(0, 0), (0, 2), (2, 2)],
+         [(0, 2), (2, 2), (2, 0)], 6),
+    ]
+    for grid, starts, goals, optimum in hand_made:
+        assert joint_soc_oracle(grid, starts, goals) == optimum, (starts, goals)
+        assert joint_soc_dijkstra(grid, starts, goals) == optimum, (starts, goals)
+    # criterion 10's seeds with the cheapest uninformed searches (about 2 s)
+    for seed in (36, 6, 24, 28, 49, 29, 19, 7, 11, 48):
+        scenario = make_scenario(
+            "random-obstacles", 5, 5, 3, rng_seed=seed,
+            n_obstacles=seed % 5, incentive_range=(1, 1),
+        )
+        args = (scenario.grid, [a.pos for a in scenario.agents], [a.goal for a in scenario.agents])
+        assert joint_soc_oracle(*args) == joint_soc_dijkstra(*args), seed
 
 
 def test_unit_incentive_execution_never_collides():

@@ -64,7 +64,6 @@ def test_score_trial_excludes_unarrived_agents():
     assert record.soc == 4
     assert record.weighted_soc == 8
     assert record.welfare == pytest.approx(2 / 4)
-    assert record.time_to_goal[1] is None
 
 
 def test_score_trial_agent_starting_on_goal():
@@ -148,7 +147,7 @@ def test_utility_curves_csv_schema():
     assert lines[1] == "0,3.000000,2.500000,1.250000"
 
 
-def test_auction_utilities_accumulate_from_conflicts():
+def test_total_payments_accumulate_from_conflicts():
     from fractions import Fraction
 
     from auctionmapf.auction import AuctionOutcome
@@ -170,5 +169,4 @@ def test_auction_utilities_accumulate_from_conflicts():
         )
     ]
     record = score_trial(trace, _scenario([2, 1]), 0.0, "auction")
-    assert record.utilities == {0: 1.5, 1: 0.5}
     assert record.total_payments == 0.5

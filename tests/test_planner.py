@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionmapf.auction import harmonic_schedule
 from auctionmapf.planner import (
     Conflict,
     SimulationTrace,
@@ -26,7 +27,7 @@ from auctionmapf.world import (
     make_scenario,
 )
 
-from helpers import sweep_collisions, sweep_conflict_groups
+from helpers import payment, sweep_collisions, sweep_conflict_groups, utility
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -339,8 +340,8 @@ def test_head_on_corridor_deadlocks_without_collision():
 def test_timeout_marks_trace():
     scenario = make_scenario("doorway", 10, 10, 4, gap_size=1, rng_seed=0)
     trace = run_trial(scenario, timeout=0.0)
-    assert trace.timed_out
     assert not trace.completed
+    assert not trace.deadlocked
 
 
 def test_invalid_arguments():
@@ -382,10 +383,48 @@ def test_sweep_audit_frees_an_arrived_goal():
     assert sweep_collisions(trace) == []
 
 
+def _missettled(trace, memo):
+    """(tick, cell) of each logged auction that the closed forms, under the
+    planner's harmonic schedule, do not reproduce: its turns are not 1..k
+    over bids that never increase, or a payment, utility or its welfare
+    differs. `memo` holds the closed forms per bid tuple: the replays below
+    hold some 16,000 auctions but only about 120 distinct tuples."""
+    bad = []
+    for rc in trace.conflicts:
+        out = rc.ordering
+        order = out.turn_order()
+        amounts = tuple(rc.bids[aid] for aid in order)
+        if (
+            sorted(order) != list(rc.contenders)
+            or sorted(out.ordering.values()) != list(range(1, len(order) + 1))
+            or list(amounts) != sorted(amounts, reverse=True)
+        ):
+            bad.append((rc.tick, rc.cell))
+            continue
+        if amounts not in memo:
+            schedule = harmonic_schedule(len(amounts))
+            pays = [payment(amounts, q, schedule) for q in range(1, len(amounts) + 1)]
+            memo[amounts] = (
+                pays,
+                [utility(b, q, p, schedule) for q, (b, p) in enumerate(zip(amounts, pays), 1)],
+                sum(b * schedule.alpha(q) for q, b in enumerate(amounts, 1)),
+            )
+        logged = (
+            [out.payments[aid] for aid in order],
+            [out.utilities[aid] for aid in order],
+            out.welfare,
+        )
+        if logged != memo[amounts]:
+            bad.append((rc.tick, rc.cell))
+    return bad
+
+
 def test_traces_match_benchmark_reference_digests(monkeypatch):
     """Two criterion-4 cells, and the hallway cell's six shortest trials,
     replay to the digests recorded in bench/reference.json, so a change to
-    any trace or auction log fails here."""
+    any trace or auction log fails here. Every logged auction of those
+    replays is also re-settled from the closed forms in helpers, which pins
+    its numbers to the mechanism's definition, not only to the reference."""
     monkeypatch.syspath_prepend(str(BENCH))
     from checks import planner_digest
 
@@ -397,10 +436,15 @@ def test_traces_match_benchmark_reference_digests(monkeypatch):
     ]
     # its six shortest reference trials: 21, 80, 39, 90 and 54 complete, 45 deadlocks
     cases += [(("hallway", 20, 20, 50, 3), seed) for seed in (21, 80, 39, 90, 54, 45)]
-    mismatched = []
+    mismatched, missettled, memo, auctions = [], [], {}, 0
     for (kind, width, height, n, gap), seed in cases:
         scenario = make_scenario(kind, width, height, n, gap_size=gap, rng_seed=seed)
         key = f"{kind}-{width}x{height}-n{n}-g{gap}:{seed}"
-        if planner_digest(run_trial(scenario, resolver="auction")) != reference[key]["digest"]:
+        trace = run_trial(scenario, resolver="auction")
+        if planner_digest(trace) != reference[key]["digest"]:
             mismatched.append(key)
+        missettled += [(key, *where) for where in _missettled(trace, memo)]
+        auctions += len(trace.conflicts)
     assert mismatched == []
+    assert missettled == []
+    assert auctions > 0
