@@ -31,7 +31,6 @@ from .world import (
     MoveAction,
     Scenario,
     ScenarioError,
-    apply_action,
     grid_from_ascii,
     grid_to_ascii,
     make_scenario,

@@ -65,31 +65,28 @@ class CBSTimeout(Exception):
     pass
 
 
-def sample_edge_weights(
-    grid: GridWorld, sigma: float, rng: random.Random
-) -> dict[frozenset[Cell], float]:
-    """One weight per undirected free edge, fixed for the whole trial."""
-    weights: dict[frozenset[Cell], float] = {}
-    # row-major over cells, each edge drawn from its upper/left end: down, then right
-    for cell in grid.free_cells():
-        for nxt in grid.neighbors(cell):
-            if nxt > cell:
-                noise = rng.gauss(0.0, sigma) if sigma > 0 else 0.0
-                weights[frozenset((cell, nxt))] = max(EDGE_WEIGHT_FLOOR, 1.0 + noise)
-    return weights
-
-
 Moves = dict[Cell, tuple[tuple[Cell, float], ...]]
 
 
-def _move_table(grid: GridWorld, weights: dict[frozenset[Cell], float]) -> Moves:
+def _move_table(grid: GridWorld, sigma: float, rng: random.Random) -> Moves:
     """Each free cell's moves as (next cell, cost): the wait first, then the
-    grid neighbours in `GridWorld.neighbors` order. Built once per plan."""
-    return {
-        cell: ((cell, 1.0),)
-        + tuple((nxt, weights[frozenset((cell, nxt))]) for nxt in grid.neighbors(cell))
-        for cell in grid.free_cells()
-    }
+    grid neighbours in `GridWorld.neighbors` order. Built once per plan.
+
+    Each undirected edge's weight is drawn once, fixed for the whole trial,
+    by its upper or left end: cells row-major, each drawing down then right.
+    """
+    moves: Moves = {}
+    for cell in grid.free_cells():
+        row = [(cell, 1.0)]
+        for nxt in grid.neighbors(cell):
+            if nxt > cell:
+                noise = rng.gauss(0.0, sigma) if sigma > 0 else 0.0
+                w = max(EDGE_WEIGHT_FLOOR, 1.0 + noise)
+            else:  # drawn by `nxt`, earlier in row-major order
+                w = next(cost for back, cost in moves[nxt] if back == cell)
+            row.append((nxt, w))
+        moves[cell] = tuple(row)
+    return moves
 
 
 def _low_level(
@@ -211,9 +208,8 @@ def plan_cbs(
     rng = random.Random(f"{scenario.seed}:{variant}")
     weights_rng = random.Random(f"{scenario.seed}:weights:{noise_sigma}")
     grid = scenario.grid
-    weights = sample_edge_weights(grid, noise_sigma, weights_rng)
-    moves = _move_table(grid, weights)
-    min_w = min(weights.values(), default=1.0)
+    moves = _move_table(grid, noise_sigma, weights_rng)
+    min_w = min((w for row in moves.values() for _, w in row[1:]), default=1.0)
     agents = {a.id: a for a in scenario.agents}
     start_time = _time.monotonic()
     # only `_low_level` checks the deadline; every branching expansion calls it
@@ -292,60 +288,41 @@ def execute_multihop(
     and the agents continue, so one trial can count several events.
     """
     ids = sorted(paths)
-    trimmed = {aid: _trim(paths[aid]) for aid in ids}
-    index = {aid: 0 for aid in ids}
-    arrival: dict[int, Optional[int]] = {
-        aid: (0 if len(trimmed[aid]) == 1 else None) for aid in ids
-    }
-    configurations = [[trimmed[aid][0] for aid in ids]]
+    # each agent's trimmed path cut once into the cells it enters per tick
+    hops: dict[int, list[list[Cell]]] = {}
+    for aid in ids:
+        path, speed = _trim(paths[aid]), incentives[aid]
+        hops[aid] = [path[i + 1 : i + speed + 1] for i in range(0, len(path) - 1, speed)]
+    pos = {aid: paths[aid][0] for aid in ids}
+    configurations = [[pos[aid] for aid in ids]]
     collisions: list[tuple[int, Cell, tuple[int, ...]]] = []
     lines: list[TraceLine] = []
-    t = 0
-    while any(index[aid] < len(trimmed[aid]) - 1 for aid in ids):
-        entered: dict[int, list[Cell]] = {}
-        starts = {aid: trimmed[aid][index[aid]] for aid in ids}
-        for aid in ids:
-            path = trimmed[aid]
-            if index[aid] >= len(path) - 1:
-                entered[aid] = []
-                continue
-            step = min(incentives[aid], len(path) - 1 - index[aid])
-            cells = path[index[aid] + 1 : index[aid] + step + 1]
-            entered[aid] = cells
-            index[aid] += step
-            end = path[index[aid]]
-            lines.append(TraceLine(t, aid, end[0], end[1], "path", step, False))
-            if index[aid] == len(path) - 1 and arrival[aid] is None:
-                arrival[aid] = t + 1
-        for pos, aid_list in _shared_cells(entered).items():
-            collisions.append((t, pos, tuple(sorted(aid_list))))
-        for i_idx, i in enumerate(ids):
-            for j in ids[i_idx + 1:]:
-                if (
-                    starts[j] in entered[i]
-                    and starts[i] in entered[j]
-                    and not (set(entered[i]) & set(entered[j]))
-                ):
-                    collisions.append((t, starts[j], (i, j)))
-        configurations.append([trimmed[aid][index[aid]] for aid in ids])
-        t += 1
+    ticks = max((len(h) for h in hops.values()), default=0)
+    for t in range(ticks):
+        moving = [(aid, set(hops[aid][t])) for aid in ids if t < len(hops[aid])]
+        users: dict[Cell, list[int]] = {}
+        for aid, entered in moving:
+            for cell in entered:
+                users.setdefault(cell, []).append(aid)
+        collisions += [(t, cell, tuple(aids)) for cell, aids in users.items() if len(aids) > 1]
+        for k, (i, entered_i) in enumerate(moving):
+            for j, entered_j in moving[k + 1:]:
+                if pos[j] in entered_i and pos[i] in entered_j and not entered_i & entered_j:
+                    collisions.append((t, pos[j], (i, j)))
+        for aid, _ in moving:
+            hop = hops[aid][t]
+            pos[aid] = hop[-1]
+            lines.append(TraceLine(t, aid, *hop[-1], "path", len(hop), False))
+        configurations.append([pos[aid] for aid in ids])
     return SimulationTrace(
         configurations=configurations,
         conflicts=[],
         collisions=collisions,
-        arrival_times=arrival,
+        arrival_times={aid: len(hops[aid]) for aid in ids},
         lines=lines,
-        ticks=t,
+        ticks=ticks,
         completed=True,
     )
-
-
-def _shared_cells(entered: dict[int, list[Cell]]) -> dict[Cell, list[int]]:
-    users: dict[Cell, list[int]] = {}
-    for aid, cells in entered.items():
-        for cell in set(cells):
-            users.setdefault(cell, []).append(aid)
-    return {cell: aids for cell, aids in users.items() if len(aids) > 1}
 
 
 def run_cbs_trial(

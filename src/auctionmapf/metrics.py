@@ -130,7 +130,8 @@ def aggregate(
         key = tuple(getattr(rec, k) for k in group_by)
         groups.setdefault(key, []).append(rec)
     out = []
-    for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
+    # each key position is one field, so the tuples compare by value
+    for key in sorted(groups):
         members = groups[key]
         stats = {
             metric: _mean_std_ci([float(getattr(r, metric)) for r in members])

@@ -29,7 +29,6 @@ from .world import (
     MoveAction,
     Scenario,
     WAIT,
-    apply_action,
     sweep_cells,
 )
 
@@ -300,11 +299,6 @@ def _resolve(
     return AuctionOutcome(ordering, payments, utilities, sum(utilities.values())), bids
 
 
-def default_tick_limit(scenario: Scenario) -> int:
-    g = scenario.grid
-    return 4 * (g.width + g.height) * len(scenario.agents)
-
-
 class _Trial:
     """One trial's state and the four phases of its tick: propose, resolve,
     execute and stop. `occupied` and `held` belong to the current tick."""
@@ -328,6 +322,9 @@ class _Trial:
         self.excursion = {a.id: 0 for a in agents}
         self.tabu = {a.id: deque(maxlen=ESCAPE_TABU_LEN) for a in agents}
         self.stale_window = 10 * (grid.width + grid.height)
+        # at least 12 (W+H) ticks, longer than the stale window, so a
+        # stalemate of one or two agents also ends the trial as deadlocked
+        self.tick_limit = 4 * (grid.width + grid.height) * max(len(agents), 3)
         self.best_remaining = math.inf
         self.last_improvement = 0
         self.idle_ticks = 0
@@ -445,7 +442,7 @@ class _Trial:
                 self.lines.append(TraceLine(t, a.id, *pos, "wait", 0, True))
                 continue
             taken.update(cells)
-            a.pos = apply_action(pos, action, self.grid)
+            a.pos = cells[-1]  # `_max_step` and `escape_move` keep sweeps on the grid
             self.tabu[a.id].append(pos)
             self.stall[a.id] = 0
             moved_any = True
@@ -488,21 +485,16 @@ class _Trial:
 def run_trial(
     scenario: Scenario,
     resolver: str = "auction",
-    tick_limit: Optional[int] = None,
     timeout: Optional[float] = None,
 ) -> SimulationTrace:
     """Simulate one trial; deterministic given (scenario, resolver)."""
     if resolver not in RESOLVERS:
         raise ValueError(f"resolver must be one of {RESOLVERS}")
-    if tick_limit is None:
-        tick_limit = default_tick_limit(scenario)
-    if tick_limit < 1:
-        raise ValueError("tick_limit must be >= 1")
 
     trial = _Trial(scenario, resolver)
     deadlocked = False
     start_time = _time.monotonic()
-    while trial.t < tick_limit:
+    while trial.t < trial.tick_limit:
         active = [a for a in trial.agents if not a.arrived]
         if not active:
             break

@@ -38,10 +38,6 @@ class ScenarioError(ValueError):
     """A scenario cannot be constructed as requested."""
 
 
-class IllegalActionError(ValueError):
-    """A move would sweep outside the grid."""
-
-
 @dataclass(frozen=True)
 class GridWorld:
     width: int
@@ -135,16 +131,6 @@ class Scenario:
                 fields.append(field)
             if field[a.pos[0]][a.pos[1]] == UNREACHABLE:
                 raise ScenarioError(f"agent {a.id} goal unreachable from start")
-
-
-def apply_action(pos: Cell, action: MoveAction, grid: GridWorld) -> Cell:
-    """Destination of a move; checks bounds, not occupancy. The grid is a
-    rectangle, so a straight sweep stays on it exactly when its end does."""
-    dr, dc = DIRECTIONS[action.direction]
-    end = (pos[0] + dr * action.step, pos[1] + dc * action.step)
-    if not grid.in_bounds(end):
-        raise IllegalActionError(f"sweep from {pos} {action.direction} x{action.step} leaves grid")
-    return end
 
 
 def sweep_cells(pos: Cell, action: MoveAction) -> list[Cell]:

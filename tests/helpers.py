@@ -3,10 +3,11 @@
 These deliberately avoid the library's own graph code: the distance oracle
 is a heap-based Dijkstra (vs the library's BFS flood), the sum-of-costs
 oracles search the joint configuration space directly (A* under the summed
-distance fields, and uninformed as a check on it), the path-cost oracle
-re-adds a CBS path's edge weights step by step, the collision audit
-re-derives sweeps from a trace's raw lines, and the conflict-group oracle
-floods "shares a cell" between raw sweeps.
+distance fields, and uninformed as a check on it), the edge-weight oracle
+draws CBS's noisy edge costs into a dict keyed by edge, the path-cost oracle
+re-adds a CBS path's edge weights step by step, the collision and
+sweep-bounds audits re-derive sweeps from a trace's raw lines, and the
+conflict-group oracle floods "shares a cell" between raw sweeps.
 
 The auction's closed forms live here too, as oracles for the one-pass
 `auction._rank` and `auction._settle`: `allocate` (the q-th highest bid
@@ -123,6 +124,23 @@ def joint_soc_dijkstra(grid, starts, goals, credit_cap=12):
     return _joint_search(grid, starts, goals, credit_cap, lambda positions: 0)
 
 
+def sample_edge_weights(grid, sigma, rng):
+    """One weight per undirected free edge, keyed by the frozenset of its two
+    cells, drawn from max(0.01, 1 + N(0, sigma^2)) in the order CBS's move
+    table draws them: cells row-major, each drawing its down edge, then its
+    right edge."""
+    weights = {}
+    for r in range(grid.height):
+        for c in range(grid.width):
+            if (r, c) in grid.obstacles:
+                continue
+            for nxt in ((r + 1, c), (r, c + 1)):
+                if nxt[0] < grid.height and nxt[1] < grid.width and nxt not in grid.obstacles:
+                    noise = rng.gauss(0.0, sigma) if sigma > 0 else 0.0
+                    weights[frozenset(((r, c), nxt))] = max(0.01, 1.0 + noise)
+    return weights
+
+
 def path_cost(path, weights):
     """Cost of a unit-step path: 1 per wait, the undirected edge's weight per
     move, added in path order."""
@@ -159,6 +177,24 @@ def sweep_collisions(trace):
         for (tick, cell), aids in sorted(swept.items())
         if len(aids) > 1
     ]
+
+
+def sweep_bounds_violations(trace, grid):
+    """Swept cells off the grid or on an obstacle, from `trace.lines` alone.
+
+    Each line's sweep is rebuilt as in `sweep_collisions`: back from its end
+    cell against the direction for `step` cells, start included.
+
+    Returns one (tick, agent id, cell) entry per such cell.
+    """
+    bad = []
+    for ln in trace.lines:
+        dr, dc = _UNIT[ln.direction]
+        for k in range(ln.step + 1):
+            r, c = ln.row - dr * k, ln.col - dc * k
+            if not (0 <= r < grid.height and 0 <= c < grid.width) or (r, c) in grid.obstacles:
+                bad.append((ln.tick, ln.agent_id, (r, c)))
+    return bad
 
 
 def sweep_conflict_groups(sweeps):

@@ -15,11 +15,10 @@ from auctionmapf.cbs import (
     path_time_to_goal,
     plan_cbs,
     run_cbs_trial,
-    sample_edge_weights,
 )
 from auctionmapf.world import AgentState, GridWorld, Scenario, distances, make_scenario
 
-from helpers import joint_soc_dijkstra, joint_soc_oracle, path_cost
+from helpers import joint_soc_dijkstra, joint_soc_oracle, path_cost, sample_edge_weights
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,16 +39,21 @@ def test_constraint_validation():
     assert edge.is_edge
 
 
+def _edge_weights(moves):
+    """The move table's weight per undirected edge, keyed as in helpers."""
+    return {frozenset((cell, nxt)): w for cell, row in moves.items() for nxt, w in row[1:]}
+
+
 def test_edge_weights_unit_without_noise():
     grid = GridWorld(4, 4)
-    weights = sample_edge_weights(grid, 0.0, random.Random(0))
+    weights = _edge_weights(_move_table(grid, 0.0, random.Random(0)))
     assert len(weights) == 2 * 4 * 3  # horizontal + vertical edges
     assert all(w == 1.0 for w in weights.values())
 
 
 def test_edge_weights_respect_floor():
     grid = GridWorld(6, 6)
-    weights = sample_edge_weights(grid, 5.0, random.Random(3))
+    weights = _edge_weights(_move_table(grid, 5.0, random.Random(3)))
     assert all(w >= 0.01 for w in weights.values())
     assert len(set(weights.values())) > 1
 
@@ -70,6 +74,8 @@ def test_edge_weights_drawn_in_row_major_order():
     rng = random.Random(11)
     for w in weights.values():
         assert w == max(EDGE_WEIGHT_FLOOR, 1.0 + rng.gauss(0.0, 0.3))
+    # the move table draws the same weights from the same stream
+    assert _edge_weights(_move_table(grid, 0.3, random.Random(11))) == weights
 
 
 def test_single_agent_gets_shortest_path():
@@ -218,19 +224,18 @@ def test_invalid_arguments():
     assert not result.timed_out and result.paths is not None
 
 
-def _plan_one(grid, start, goal, constraints=(), weights=None):
-    """_low_level over the move table plan_cbs would build for `weights`."""
-    if weights is None:
-        weights = sample_edge_weights(grid, 0.0, random.Random(0))
-    moves = _move_table(grid, weights)
-    min_w = min(weights.values(), default=1.0)
+def _plan_one(grid, start, goal, constraints=(), sigma=0.0, seed=0):
+    """_low_level over the move table plan_cbs would build from `sigma` and a
+    weight stream seeded with `seed`; the cheapest edge from the oracle."""
+    moves = _move_table(grid, sigma, random.Random(seed))
+    min_w = min(sample_edge_weights(grid, sigma, random.Random(seed)).values(), default=1.0)
     return _low_level(grid, start, goal, frozenset(constraints), moves, min_w, math.inf)
 
 
 def test_move_table_lists_wait_then_neighbors():
     grid = GridWorld(3, 3, obstacles=frozenset({(0, 1)}))
     weights = sample_edge_weights(grid, 0.5, random.Random(4))
-    moves = _move_table(grid, weights)
+    moves = _move_table(grid, 0.5, random.Random(4))
     assert set(moves) == set(grid.free_cells())
     for cell, row in moves.items():
         assert row[0] == (cell, 1.0)
@@ -292,7 +297,7 @@ def test_low_level_cost_equals_path_cost_under_noise():
     for seed in range(10):
         weights = sample_edge_weights(grid, 0.3, random.Random(seed))
         cons = [Constraint(0, (3, 4), t) for t in range(3, 7)]
-        path, cost = _plan_one(grid, (0, 0), (6, 6), cons, weights)
+        path, cost = _plan_one(grid, (0, 0), (6, 6), cons, sigma=0.3, seed=seed)
         assert path[0] == (0, 0) and path[-1] == (6, 6)
         assert cost == path_cost(path, weights)
 

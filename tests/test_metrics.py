@@ -106,7 +106,19 @@ def test_aggregate_grouping_contract():
     aggs = aggregate(records, group_by=("solver", "kind", "gap_size"))
     keys = [(a.group["solver"], a.group["gap_size"]) for a in aggs]
     assert len(aggs) == 4
-    assert keys == sorted(keys, key=lambda k: (k[0], str(k[1])))
+    assert keys == sorted(keys)
+
+
+def test_aggregate_sorts_sweep_points_by_value():
+    # as text, 10 would sort before 2 and 4
+    records = [
+        score_trial(_trace({i: 2 for i in range(n)}), _scenario([1] * n), 0.0, "auction")
+        for n in (4, 10, 2)
+    ]
+    aggs = aggregate(records, group_by=("solver", "n_agents"))
+    assert [a.group["n_agents"] for a in aggs] == [2, 4, 10]
+    rows = aggregates_csv(aggs, ("solver", "n_agents")).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["2", "4", "10"]
 
 
 def test_aggregate_errors():

@@ -3,11 +3,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from auctionmapf.auction import harmonic_schedule
 from auctionmapf.planner import (
+    RESOLVERS,
     Conflict,
     SimulationTrace,
     TraceLine,
@@ -22,12 +23,20 @@ from auctionmapf.world import (
     AgentState,
     GridWorld,
     MoveAction,
+    SCENARIO_KINDS,
     Scenario,
+    ScenarioError,
     WAIT,
     make_scenario,
 )
 
-from helpers import payment, sweep_collisions, sweep_conflict_groups, utility
+from helpers import (
+    payment,
+    sweep_bounds_violations,
+    sweep_collisions,
+    sweep_conflict_groups,
+    utility,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -330,7 +339,7 @@ def test_head_on_corridor_deadlocks_without_collision():
         AgentState(id=0, pos=(0, 0), goal=(0, 4), incentive=3),
         AgentState(id=1, pos=(0, 4), goal=(0, 0), incentive=3),
     ]
-    trace = run_trial(Scenario(grid=grid, agents=agents, kind="custom"), tick_limit=1000)
+    trace = run_trial(Scenario(grid=grid, agents=agents, kind="custom"))
     assert not trace.completed
     assert trace.deadlocked
     assert trace.collisions == []
@@ -348,8 +357,6 @@ def test_invalid_arguments():
     scenario = make_scenario("doorway", 10, 10, 2, gap_size=1, rng_seed=0)
     with pytest.raises(ValueError):
         run_trial(scenario, resolver="coin-flip")
-    with pytest.raises(ValueError):
-        run_trial(scenario, tick_limit=0)
 
 
 def _lines_trace(lines):
@@ -381,6 +388,39 @@ def test_sweep_audit_frees_an_arrived_goal():
         (1, 0, 0, 3, "right", 3, False),
     ])
     assert sweep_collisions(trace) == []
+
+
+def test_sweep_bounds_audit_flags_off_grid_and_obstacle_cells():
+    grid = GridWorld(4, 2, frozenset({(1, 2)}))
+    trace = _lines_trace([
+        (0, 0, 0, 3, "right", 2, False),  # (0,1)..(0,3): all free
+        (0, 1, 1, 3, "wait", 0, True),    # a wait sweeps its own cell only
+        (1, 0, -1, 3, "up", 1, False),    # leaves the grid at the top
+        (1, 1, 1, 1, "right", 1, False),  # ends before the obstacle at (1,2)
+        (2, 1, 1, 3, "right", 2, False),  # passes over the obstacle
+    ])
+    assert sweep_bounds_violations(trace, grid) == [(1, 0, (-1, 3)), (2, 1, (1, 2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SCENARIO_KINDS),
+    st.integers(6, 10),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+def test_executed_sweeps_stay_on_free_cells(kind, size, n, gap, seed):
+    """No resolver executes a sweep that leaves the grid or crosses an
+    obstacle, as rebuilt from the trace lines alone."""
+    try:
+        scenario = make_scenario(kind, size, size, n, gap_size=gap, incentive_range=(1, 4),
+                                 rng_seed=seed, n_obstacles=size)
+    except ScenarioError:
+        assume(False)
+    for resolver in RESOLVERS:
+        trace = run_trial(scenario, resolver=resolver)
+        assert sweep_bounds_violations(trace, scenario.grid) == []
 
 
 def _missettled(trace, memo):
@@ -424,7 +464,8 @@ def test_traces_match_benchmark_reference_digests(monkeypatch):
     replay to the digests recorded in bench/reference.json, so a change to
     any trace or auction log fails here. Every logged auction of those
     replays is also re-settled from the closed forms in helpers, which pins
-    its numbers to the mechanism's definition, not only to the reference."""
+    its numbers to the mechanism's definition, not only to the reference,
+    and every executed sweep is rebuilt and checked to stay on free cells."""
     monkeypatch.syspath_prepend(str(BENCH))
     from checks import planner_digest
 
@@ -436,7 +477,7 @@ def test_traces_match_benchmark_reference_digests(monkeypatch):
     ]
     # its six shortest reference trials: 21, 80, 39, 90 and 54 complete, 45 deadlocks
     cases += [(("hallway", 20, 20, 50, 3), seed) for seed in (21, 80, 39, 90, 54, 45)]
-    mismatched, missettled, memo, auctions = [], [], {}, 0
+    mismatched, missettled, off_free, memo, auctions = [], [], [], {}, 0
     for (kind, width, height, n, gap), seed in cases:
         scenario = make_scenario(kind, width, height, n, gap_size=gap, rng_seed=seed)
         key = f"{kind}-{width}x{height}-n{n}-g{gap}:{seed}"
@@ -444,7 +485,9 @@ def test_traces_match_benchmark_reference_digests(monkeypatch):
         if planner_digest(trace) != reference[key]["digest"]:
             mismatched.append(key)
         missettled += [(key, *where) for where in _missettled(trace, memo)]
+        off_free += [(key, *where) for where in sweep_bounds_violations(trace, scenario.grid)]
         auctions += len(trace.conflicts)
     assert mismatched == []
     assert missettled == []
+    assert off_free == []
     assert auctions > 0

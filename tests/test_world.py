@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from auctionmapf.world import (
     AgentState,
     GridWorld,
-    IllegalActionError,
     MoveAction,
     Scenario,
     ScenarioError,
     UNREACHABLE,
     WAIT,
-    apply_action,
     distances,
     grid_from_ascii,
     grid_to_ascii,
@@ -27,36 +25,14 @@ from auctionmapf.world import (
 )
 
 
-def test_apply_action_arithmetic():
-    grid = GridWorld(10, 10)
-    assert apply_action((2, 2), MoveAction("right", 3), grid) == (2, 5)
-
-
-def test_apply_action_wait_is_identity():
-    grid = GridWorld(10, 10)
-    assert apply_action((2, 2), WAIT, grid) == (2, 2)
-
-
-def test_apply_action_out_of_bounds_sweep():
-    grid = GridWorld(10, 10)
-    with pytest.raises(IllegalActionError):
-        apply_action((0, 0), MoveAction("up", 1), grid)
-
-
-def test_apply_action_checks_intermediate_cells():
-    grid = GridWorld(3, 3)
-    with pytest.raises(IllegalActionError):
-        apply_action((1, 1), MoveAction("right", 5), grid)
-
-
 def test_inverse_action_round_trip():
-    grid = GridWorld(8, 8)
     inverse = {"up": "down", "down": "up", "left": "right", "right": "left"}
     for direction, opposite in inverse.items():
         for step in (1, 2, 3):
-            there = apply_action((4, 4), MoveAction(direction, step), grid)
-            back = apply_action(there, MoveAction(opposite, step), grid)
-            assert back == (4, 4)
+            there = sweep_cells((4, 4), MoveAction(direction, step))[-1]
+            back = sweep_cells(there, MoveAction(opposite, step))
+            assert back[-1] == (4, 4)
+            assert back[::-1] == sweep_cells((4, 4), MoveAction(direction, step))
 
 
 def test_sweep_cells_includes_start():
