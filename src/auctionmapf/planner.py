@@ -14,7 +14,7 @@ import math
 import random
 import time as _time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -146,8 +146,15 @@ def propose_move(
     """One agent's greedy descending move; wait only when fully blocked."""
     goal = agent.goal
     pos = agent.pos
+    values = pot.values
+    r, c = pos
+    here = values[r][c]
     best_by_axis: dict[str, tuple[str, int]] = {}
-    for direction, dr, _ in MOVES:
+    for direction, dr, dc in MOVES:
+        # sweep only where the first cell descends (UNREACHABLE is negative)
+        nr, nc = r + dr, c + dc
+        if not (0 <= nr < grid.height and 0 <= nc < grid.width and 0 <= values[nr][nc] < here):
+            continue
         tau = _max_step(grid, pot, pos, direction, agent.incentive, occupied)
         if tau >= 1:
             axis = "row" if dr else "col"
@@ -270,7 +277,7 @@ def try_reassign(
             residual.discard(aid)
             break
 
-    return replace(conflict, contenders=residual)
+    return Conflict(conflict.cell, residual)
 
 
 def _resolve(
@@ -278,25 +285,37 @@ def _resolve(
     contenders: list[AgentState],
     arrivals: dict[int, int],
     rng: random.Random,
+    settled: dict[tuple[int, ...], tuple],
 ) -> tuple[AuctionOutcome, dict[int, Fraction]]:
-    """Turn order and bids for one conflict. The baselines charge nothing, so
-    a contender's utility is bid x alpha_q and welfare is their sum."""
-    schedule = harmonic_schedule(len(contenders))
-    bids = {a.id: Fraction(a.incentive) for a in contenders}
+    """Turn order, and bids by id, for one conflict. The baselines charge
+    nothing, so a contender's utility is bid x alpha_q and welfare is their
+    sum. Under one resolver, bids, payments, utilities and welfare by turn
+    depend only on the incentives in turn order: `settled` keeps them per
+    incentive tuple, so a trial settles each tuple once."""
     if resolver == "auction":
-        outcome = run_auction(
-            [Bid(a.id, bids[a.id], arrivals[a.id]) for a in contenders], schedule=schedule
-        )
-        return outcome, bids
-    if resolver == "random-ordering":
-        ids = sorted(a.id for a in contenders)
-        rng.shuffle(ids)
+        # `auction._rank`'s order: descending bid, then arrival, then id
+        ranked = sorted(contenders, key=lambda a: (-a.incentive, arrivals[a.id], a.id))
+    elif resolver == "random-ordering":
+        ranked = sorted(contenders, key=lambda a: a.id)
+        rng.shuffle(ranked)
     else:  # fifo; run_trial has checked the resolver name
-        ids = sorted((a.id for a in contenders), key=lambda i: (arrivals[i], i))
+        ranked = sorted(contenders, key=lambda a: (arrivals[a.id], a.id))
+    ids = [a.id for a in ranked]
+    key = tuple(a.incentive for a in ranked)
+    if key not in settled:
+        schedule = harmonic_schedule(len(key))
+        amounts = [Fraction(x) for x in key]
+        if resolver == "auction":
+            out = run_auction([Bid(i, x, arrivals[i]) for i, x in zip(ids, amounts)], schedule)
+            pays, utils = [out.payments[i] for i in ids], [out.utilities[i] for i in ids]
+            settled[key] = (amounts, pays, utils, out.welfare)
+        else:
+            utils = [x * schedule.alpha(q) for q, x in enumerate(amounts, start=1)]
+            settled[key] = (amounts, [Fraction(0)] * len(key), utils, sum(utils))
+    amounts, pays, utils, welfare = settled[key]
     ordering = {aid: q for q, aid in enumerate(ids, start=1)}
-    payments = {aid: Fraction(0) for aid in ordering}
-    utilities = {aid: bids[aid] * schedule.alpha(q) for aid, q in ordering.items()}
-    return AuctionOutcome(ordering, payments, utilities, sum(utilities.values())), bids
+    outcome = AuctionOutcome(ordering, dict(zip(ids, pays)), dict(zip(ids, utils)), welfare)
+    return outcome, dict(sorted(zip(ids, amounts)))
 
 
 class _Trial:
@@ -311,7 +330,9 @@ class _Trial:
             for a in scenario.agents
         ]
         self.agents_by_id = {a.id: a for a in agents}
+        self.in_id_order = sorted(agents, key=lambda a: a.id)
         self.potentials = build_potential_maps(grid, [a.goal for a in agents])
+        self.settled: dict[tuple[int, ...], tuple] = {}
         self.rng = random.Random(f"{scenario.seed}:{resolver}")
         self.configurations = [[a.pos for a in agents]]
         self.resolved: list[ResolvedConflict] = []
@@ -325,6 +346,8 @@ class _Trial:
         # at least 12 (W+H) ticks, longer than the stale window, so a
         # stalemate of one or two agents also ends the trial as deadlocked
         self.tick_limit = 4 * (grid.width + grid.height) * max(len(agents), 3)
+        # sum of every agent's potential; an arrived agent adds 0
+        self.remaining = sum(self.potentials[a.goal][a.pos] for a in agents)
         self.best_remaining = math.inf
         self.last_improvement = 0
         self.idle_ticks = 0
@@ -351,11 +374,12 @@ class _Trial:
                 continue
             pot = self.potentials[a.goal]
             # no sweep re-enters its start cell, so the mover's own cell may
-            # stay in `occupied`
-            move = propose_move(self.grid, pot, a, occupied)
-            stalled = move.direction == "wait" and self.stall[a.id] >= STALL_ESCAPE_TICKS
-            if stalled and self.excursion[a.id] == 0:
-                self.excursion[a.id] = ESCAPE_COMMIT_TICKS
+            # stay in `occupied`; an agent already on an excursion escapes
+            # whatever descent would propose
+            if self.excursion[a.id] == 0:
+                move = propose_move(self.grid, pot, a, occupied)
+                if move.direction == "wait" and self.stall[a.id] >= STALL_ESCAPE_TICKS:
+                    self.excursion[a.id] = ESCAPE_COMMIT_TICKS
             if self.excursion[a.id] > 0:
                 self.excursion[a.id] -= 1
                 move = escape_move(self.grid, pot, a, occupied, self.tabu[a.id])
@@ -397,7 +421,7 @@ class _Trial:
                 for aid in conflict.contenders
             }
             contenders = [self.agents_by_id[aid] for aid in sorted(conflict.contenders)]
-            ordering, bids = _resolve(self.resolver, contenders, arrivals, self.rng)
+            ordering, bids = _resolve(self.resolver, contenders, arrivals, self.rng, self.settled)
             self.orders.append(
                 _ActiveOrder(
                     cell=conflict.cell,
@@ -429,11 +453,14 @@ class _Trial:
         # executed sweeps must be pairwise disjoint
         taken = {a.pos for a in active if proposals[a.id][1].direction == "wait"}
         moved_any = False
-        for a in sorted(active, key=lambda x: x.id):
+        for a in self.in_id_order:
+            if a.arrived:
+                continue
             pos, action = proposals[a.id]
-            cells = sweep_cells(pos, action)
-            guarded = any(cell in taken for cell in cells[1:])
-            if guarded or action.direction == "wait":
+            waiting = action.direction == "wait"
+            cells = [pos] if waiting else sweep_cells(pos, action)
+            guarded = not taken.isdisjoint(cells[1:])
+            if guarded or waiting:
                 # a held agent waiting its turn is not stalled
                 if guarded or a.id not in self.held:
                     self.stall[a.id] += 1
@@ -442,16 +469,17 @@ class _Trial:
                 self.lines.append(TraceLine(t, a.id, *pos, "wait", 0, True))
                 continue
             taken.update(cells)
-            a.pos = cells[-1]  # `_max_step` and `escape_move` keep sweeps on the grid
+            a.pos = end = cells[-1]  # `_max_step` and `escape_move` keep sweeps on the grid
+            values = self.potentials[a.goal].values
+            self.remaining += values[end[0]][end[1]] - values[pos[0]][pos[1]]
             self.tabu[a.id].append(pos)
             self.stall[a.id] = 0
             moved_any = True
-            self.lines.append(TraceLine(t, a.id, *a.pos, action.direction, action.step, False))
-
-        for a in active:
-            if a.pos == a.goal:
+            self.lines.append(TraceLine(t, a.id, *end, action.direction, action.step, False))
+            if end == a.goal:
                 a.arrived = True
                 a.arrival_time = t + 1
+
         self.configurations.append([a.pos for a in self.agents])
 
         for order in list(self.orders):
@@ -474,9 +502,8 @@ class _Trial:
             return True
         # stalemate: nobody has gotten closer to a goal for a long stretch,
         # so further ticks just repeat an oscillation
-        remaining = sum(self.potentials[a.goal][a.pos] for a in self.agents if not a.arrived)
-        if remaining < self.best_remaining:
-            self.best_remaining = remaining
+        if self.remaining < self.best_remaining:
+            self.best_remaining = self.remaining
             self.last_improvement = self.t
             return False
         return self.t - self.last_improvement > self.stale_window
@@ -490,6 +517,8 @@ def run_trial(
     """Simulate one trial; deterministic given (scenario, resolver)."""
     if resolver not in RESOLVERS:
         raise ValueError(f"resolver must be one of {RESOLVERS}")
+    if not (timeout is None or timeout >= 0):  # NaN fails too
+        raise ValueError("timeout must be None or >= 0")
 
     trial = _Trial(scenario, resolver)
     deadlocked = False

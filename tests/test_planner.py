@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from auctionmapf.auction import harmonic_schedule
+from auctionmapf.auction import Bid, harmonic_schedule, run_auction
 from auctionmapf.planner import (
     RESOLVERS,
     Conflict,
     SimulationTrace,
     TraceLine,
+    _resolve,
+    _Trial,
     detect_conflicts,
     mover_index,
     propose_move,
@@ -31,6 +34,7 @@ from auctionmapf.world import (
 )
 
 from helpers import (
+    dijkstra_distance_field,
     payment,
     sweep_bounds_violations,
     sweep_collisions,
@@ -326,6 +330,67 @@ def test_baseline_resolvers_charge_nothing():
             assert all(p == 0 for p in rc.ordering.payments.values())
 
 
+# one settlement table for every draw below, so later draws hit rows that
+# earlier draws settled, as auctions do within one trial
+_SETTLED: dict = {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)), min_size=2, max_size=8),
+    st.integers(0, 1_000),
+)
+def test_settlement_table_matches_run_auction(draw, shift):
+    """The auction `_resolve`, through the shared settlement table, gives the
+    ordering, payments, utilities, welfare and bids of `run_auction` on the
+    same bids, whether the incentive tuple was settled before or not. Small
+    incentive and arrival ranges force ties on both."""
+    for offset in (0, shift):  # the same tuple again under other ids is a hit
+        contenders = [
+            AgentState(id=offset + 3 * i, pos=(0, i), goal=(1, i), incentive=incentive)
+            for i, (incentive, _) in enumerate(draw)
+        ]
+        arrivals = {a.id: arrival for a, (_, arrival) in zip(contenders, draw)}
+        outcome, bids = _resolve("auction", contenders, arrivals, random.Random(0), _SETTLED)
+        expected = run_auction(
+            [Bid(a.id, Fraction(a.incentive), arrivals[a.id]) for a in contenders],
+            schedule=harmonic_schedule(len(contenders)),
+        )
+        assert outcome == expected
+        assert bids == {a.id: Fraction(a.incentive) for a in contenders}
+
+
+@pytest.mark.parametrize("seed", [0, 5])  # seed 0 deadlocks, seed 5 completes
+def test_running_stalemate_sum_matches_distance_oracle(seed):
+    """Stepped tick by tick, a trial's running potential sum equals the sum
+    over unarrived agents of their distance to goal, as the helpers' own
+    Dijkstra computes it."""
+    scenario = make_scenario("hallway", 10, 10, 6, gap_size=1, rng_seed=seed)
+    grid = scenario.grid
+    fields = {
+        a.goal: dijkstra_distance_field(grid.width, grid.height, grid.obstacles, a.goal)
+        for a in scenario.agents
+    }
+    trial = _Trial(scenario, "auction")
+
+    def oracle():
+        return sum(fields[a.goal][a.pos[0]][a.pos[1]] for a in trial.agents if not a.arrived)
+
+    assert trial.remaining == oracle() > 0
+    deadlocked = False
+    while not deadlocked and trial.t < trial.tick_limit:
+        active = [a for a in trial.agents if not a.arrived]
+        if not active:
+            break
+        proposals = trial.propose(active)
+        trial.resolve(proposals)
+        deadlocked = trial.stop(trial.execute(active, proposals))
+        trial.t += 1
+        assert trial.remaining == oracle(), f"tick {trial.t - 1}"
+    assert deadlocked == (seed == 0)
+    assert (trial.remaining == 0) == all(a.arrived for a in trial.agents)
+
+
 def test_fifo_orders_by_arrival_then_id():
     scenario = make_scenario("doorway", 10, 10, 4, gap_size=1, rng_seed=5)
     trace = run_trial(scenario, resolver="fifo")
@@ -357,6 +422,9 @@ def test_invalid_arguments():
     scenario = make_scenario("doorway", 10, 10, 2, gap_size=1, rng_seed=0)
     with pytest.raises(ValueError):
         run_trial(scenario, resolver="coin-flip")
+    for timeout in (float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            run_trial(scenario, timeout=timeout)
 
 
 def _lines_trace(lines):
