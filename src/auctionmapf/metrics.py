@@ -84,9 +84,8 @@ def score_trial(
     weighted_soc = sum(incentives[aid] * t for aid, t in arrived.items())
     welfare = sum((incentives[aid] / t for aid, t in arrived.items() if t > 0), 0.0)
     welfare += sum(float(incentives[aid]) for aid, t in arrived.items() if t == 0)
-    total_payments = 0.0
-    for rc in trace.conflicts:
-        total_payments += float(sum(rc.ordering.payments.values()))
+    payments = (p for rc in trace.conflicts for p in rc.ordering.payments.values())
+    total_payments = math.fsum(map(float, payments))
     return TrialRecord(
         solver=solver,
         kind=scenario.kind,

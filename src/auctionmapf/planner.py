@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .auction import AuctionOutcome, Bid, harmonic_schedule, run_auction
+from .auction import AuctionOutcome, Bid, _settle, harmonic_schedule, run_auction
 from .potential import UNREACHABLE, PotentialMap, build_potential_maps
 from .world import (
-    DIRECTIONS,
     MOVES,
     AgentState,
     Cell,
@@ -109,16 +108,16 @@ def _max_step(
     grid: GridWorld,
     pot: PotentialMap,
     pos: Cell,
-    direction: str,
+    dr: int,
+    dc: int,
     limit: int,
     occupied: set[Cell],
 ) -> int:
-    """Longest sweep in a direction that descends the potential every cell.
+    """Longest sweep along step (dr, dc) that descends the potential every cell.
 
     Obstacles are UNREACHABLE in every potential map, so the descent test
     also stops the sweep at them; only the grid bounds need their own check.
     """
-    dr, dc = DIRECTIONS[direction]
     values = pot.values
     height, width = grid.height, grid.width
     r, c = pos
@@ -155,7 +154,7 @@ def propose_move(
         nr, nc = r + dr, c + dc
         if not (0 <= nr < grid.height and 0 <= nc < grid.width and 0 <= values[nr][nc] < here):
             continue
-        tau = _max_step(grid, pot, pos, direction, agent.incentive, occupied)
+        tau = _max_step(grid, pot, pos, dr, dc, agent.incentive, occupied)
         if tau >= 1:
             axis = "row" if dr else "col"
             if axis not in best_by_axis or tau > best_by_axis[axis][1]:
@@ -257,12 +256,12 @@ def try_reassign(
         agent = agents_by_id[aid]
         pot = potentials[agent.goal]
         tau = action.step
-        for direction, _, _ in MOVES:
+        for direction, dr, dc in MOVES:
             if direction == action.direction:
                 continue
             # a straight sweep never re-enters its start, so `occupied` may
             # keep the mover's own cell
-            alt_tau = _max_step(grid, pot, pos, direction, agent.incentive, occupied)
+            alt_tau = _max_step(grid, pot, pos, dr, dc, agent.incentive, occupied)
             if alt_tau != tau:
                 continue
             alt = MoveAction(direction, alt_tau)
@@ -288,10 +287,10 @@ def _resolve(
     settled: dict[tuple[int, ...], tuple],
 ) -> tuple[AuctionOutcome, dict[int, Fraction]]:
     """Turn order, and bids by id, for one conflict. The baselines charge
-    nothing, so a contender's utility is bid x alpha_q and welfare is their
-    sum. Under one resolver, bids, payments, utilities and welfare by turn
-    depend only on the incentives in turn order: `settled` keeps them per
-    incentive tuple, so a trial settles each tuple once."""
+    nothing: they settle as an auction in which every bid is zero. Under one
+    resolver, bids, payments, utilities and welfare by turn depend only on
+    the incentives in turn order: `settled` keeps them per incentive tuple,
+    so a trial settles each tuple once."""
     if resolver == "auction":
         # `auction._rank`'s order: descending bid, then arrival, then id
         ranked = sorted(contenders, key=lambda a: (-a.incentive, arrivals[a.id], a.id))
@@ -310,8 +309,7 @@ def _resolve(
             pays, utils = [out.payments[i] for i in ids], [out.utilities[i] for i in ids]
             settled[key] = (amounts, pays, utils, out.welfare)
         else:
-            utils = [x * schedule.alpha(q) for q, x in enumerate(amounts, start=1)]
-            settled[key] = (amounts, [Fraction(0)] * len(key), utils, sum(utils))
+            settled[key] = (amounts, *_settle([Fraction(0)] * len(key), amounts, schedule.alphas))
     amounts, pays, utils, welfare = settled[key]
     ordering = {aid: q for q, aid in enumerate(ids, start=1)}
     outcome = AuctionOutcome(ordering, dict(zip(ids, pays)), dict(zip(ids, utils)), welfare)

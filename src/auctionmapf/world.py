@@ -113,6 +113,8 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
+        if not self.agents:
+            raise ScenarioError("need at least one agent")
         starts = [a.pos for a in self.agents]
         goals = [a.goal for a in self.agents]
         if len(set(starts)) != len(starts):

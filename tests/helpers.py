@@ -9,7 +9,7 @@ re-adds a CBS path's edge weights step by step, the collision and
 sweep-bounds audits re-derive sweeps from a trace's raw lines, and the
 conflict-group oracle floods "shares a cell" between raw sweeps.
 
-The auction's closed forms live here too, as oracles for the one-pass
+The auction's closed forms live here too, as oracles for
 `auction._rank` and `auction._settle`: `allocate` (the q-th highest bid
 gets turn q), `payment` (turn q's externality charge, summed term by term)
 and `utility` (value x alpha_q - payment).

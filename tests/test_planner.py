@@ -327,7 +327,15 @@ def test_baseline_resolvers_charge_nothing():
         trace = run_trial(scenario, resolver=resolver)
         assert trace.conflicts
         for rc in trace.conflicts:
-            assert all(p == 0 for p in rc.ordering.payments.values())
+            outcome = rc.ordering
+            schedule = harmonic_schedule(len(rc.contenders))
+            assert all(p == 0 for p in outcome.payments.values())
+            expected = {
+                aid: utility(rc.bids[aid], q, 0, schedule)
+                for aid, q in outcome.ordering.items()
+            }
+            assert outcome.utilities == expected
+            assert outcome.welfare == sum(expected.values())
 
 
 # one settlement table for every draw below, so later draws hit rows that

@@ -224,6 +224,7 @@ def test_scenario_from_dict_rejects_malformed_input():
         (("width",), "10", "width must be int"),
         (("agents", 0, "start"), [1], "agent 0 start must be a"),
         (("agents",), None, "agents must be list"),
+        (("agents",), [], "need at least one agent"),
         (("obstacles", 0), 5, "obstacle must be a"),
         (("agents", 1, "goal", 0), 1.0, "agent 1 goal must be int"),
         (("agents", 1), [0, 9], "agent 1 must be dict"),
