@@ -14,7 +14,7 @@ import heapq
 import itertools
 import random
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .planner import SimulationTrace, TraceLine
@@ -40,16 +40,6 @@ class Constraint:
     @property
     def is_edge(self) -> bool:
         return self.cell_from is not None
-
-
-@dataclass
-class CTNode:
-    # per agent: the constraints its path was planned under, and that
-    # path's cost exactly as `_low_level` returned it
-    constraints: dict[int, frozenset[Constraint]]
-    paths: dict[int, list[Cell]]
-    costs: dict[int, float]
-    cost: float
 
 
 @dataclass
@@ -218,9 +208,11 @@ def plan_cbs(
     expansions = 0
     open_heap: list = []
 
-    def push(node: CTNode) -> None:
+    # a constraint-tree node is its heap entry; the unique count keeps heapq
+    # from comparing the per-agent constraints, paths and `_low_level` costs
+    def push(cost, constraints, paths, costs) -> None:
         tie = rng.random() if variant == "cbs-random" else 0.0
-        heapq.heappush(open_heap, (node.cost, tie, next(counter), node))
+        heapq.heappush(open_heap, (cost, tie, next(counter), constraints, paths, costs))
 
     try:
         paths: dict[int, list[Cell]] = {}
@@ -234,30 +226,24 @@ def plan_cbs(
             # `+=` in agent order, not sum(): from Python 3.12 a float sum()
             # is compensated and would give different bits
             cost += costs[a.id]
-        push(CTNode({a.id: frozenset() for a in scenario.agents}, paths, costs, cost))
+        push(cost, {a.id: frozenset() for a in scenario.agents}, paths, costs)
         while open_heap:
-            _, _, _, node = heapq.heappop(open_heap)
+            cost, _, _, constraints, paths, costs = heapq.heappop(open_heap)
             expansions += 1
-            branch = _first_conflict(node.paths)
+            branch = _first_conflict(paths)
             if branch is None:
-                return CBSResult(paths=node.paths, cost=node.cost, timed_out=False,
+                return CBSResult(paths=paths, cost=cost, timed_out=False,
                                  elapsed=_time.monotonic() - start_time, expansions=expansions)
             for con in branch:
                 aid = con.agent_id
-                own = node.constraints[aid] | {con}
+                own = constraints[aid] | {con}
                 agent = agents[aid]
                 res = _low_level(grid, agent.pos, agent.goal, own, moves, min_w, deadline)
                 if res is None:
                     continue
                 path, c = res
-                push(
-                    CTNode(
-                        constraints={**node.constraints, aid: own},
-                        paths={**node.paths, aid: path},
-                        costs={**node.costs, aid: c},
-                        cost=node.cost - node.costs[aid] + c,
-                    )
-                )
+                push(cost - costs[aid] + c, {**constraints, aid: own},
+                     {**paths, aid: path}, {**costs, aid: c})
         raise ValueError("constraint tree exhausted without a solution")
     except CBSTimeout:
         return CBSResult(paths=None, cost=float("inf"), timed_out=True,
@@ -294,7 +280,6 @@ def execute_multihop(
         path, speed = _trim(paths[aid]), incentives[aid]
         hops[aid] = [path[i + 1 : i + speed + 1] for i in range(0, len(path) - 1, speed)]
     pos = {aid: paths[aid][0] for aid in ids}
-    configurations = [[pos[aid] for aid in ids]]
     collisions: list[tuple[int, Cell, tuple[int, ...]]] = []
     lines: list[TraceLine] = []
     ticks = max((len(h) for h in hops.values()), default=0)
@@ -313,15 +298,12 @@ def execute_multihop(
             hop = hops[aid][t]
             pos[aid] = hop[-1]
             lines.append(TraceLine(t, aid, *hop[-1], "path", len(hop), False))
-        configurations.append([pos[aid] for aid in ids])
     return SimulationTrace(
-        configurations=configurations,
-        conflicts=[],
-        collisions=collisions,
         arrival_times={aid: len(hops[aid]) for aid in ids},
         lines=lines,
         ticks=ticks,
         completed=True,
+        collisions=collisions,
     )
 
 

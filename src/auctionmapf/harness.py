@@ -79,6 +79,14 @@ class ExperimentConfig:
         for k in self.kinds:
             if k not in SCENARIO_KINDS:
                 raise ConfigError(f"unknown scenario kind {k!r}")
+            # make_scenario reads n_obstacles only for random-obstacles, gap_size only elsewhere
+            if self.sweep in ("gap_size", "n_obstacles") and (
+                    (k == "random-obstacles") != (self.sweep == "n_obstacles")):
+                raise ConfigError(f"sweep {self.sweep} does not shape kind {k!r}")
+        for key, values in (("kind", self.kinds), ("solvers", self.solvers),
+                            ("sweep_values", self.sweep_values)):
+            if len(set(values)) < len(values):  # it would replay the same trials
+                raise ConfigError(f"{key} repeats an entry")
 
     def sweep_points(self) -> tuple[int, ...]:
         return self.sweep_values if self.sweep != "none" else (self.n_agents,)
@@ -163,16 +171,8 @@ def run_one_trial(cfg: ExperimentConfig, solver: str, kind: str, point: int, ind
             timeout=cfg.timeout,
         )
         runtime = result.elapsed
-        if trace is None:
-            trace = planner_mod.SimulationTrace(
-                configurations=[[a.pos for a in scenario.agents]],
-                conflicts=[],
-                collisions=[],
-                arrival_times={a.id: None for a in scenario.agents},
-                lines=[],
-                ticks=0,
-                completed=False,
-            )
+        if trace is None:  # no plan within the timeout: nobody moved
+            trace = planner_mod.SimulationTrace({a.id: None for a in scenario.agents})
     return metrics_mod.score_trial(trace, scenario, runtime, solver)
 
 

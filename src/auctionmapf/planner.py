@@ -14,7 +14,7 @@ import math
 import random
 import time as _time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -75,15 +75,18 @@ class TraceLine:
 
 @dataclass
 class SimulationTrace:
-    configurations: list[list[Cell]]
-    conflicts: list[ResolvedConflict]
-    collisions: list[tuple[int, Cell, tuple[int, ...]]]
+    """One trial of either solver. `configurations`, `conflicts`, `deadlocked`
+    and `guard_waits` are the planner's, `collisions` the CBS replay's."""
+
     arrival_times: dict[int, Optional[int]]
-    lines: list[TraceLine]
-    ticks: int
-    completed: bool
+    lines: list[TraceLine] = field(default_factory=list)
+    ticks: int = 0
+    completed: bool = False
+    configurations: list[list[Cell]] = field(default_factory=list)
+    conflicts: list[ResolvedConflict] = field(default_factory=list)
     deadlocked: bool = False
     guard_waits: int = 0
+    collisions: list[tuple[int, Cell, tuple[int, ...]]] = field(default_factory=list)
 
     def export_lines(self) -> str:
         out = []
@@ -538,7 +541,6 @@ def run_trial(
     return SimulationTrace(
         configurations=trial.configurations,
         conflicts=trial.resolved,
-        collisions=[],
         arrival_times={a.id: a.arrival_time for a in agents},
         lines=trial.lines,
         ticks=trial.t,

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionmapf import harness
+from auctionmapf.cbs import CBSResult
 from auctionmapf.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, cli
 from auctionmapf.harness import (
     ConfigError,
@@ -71,6 +73,18 @@ BAD_CBS_LINES = (
     "timeout = inf",
 )
 
+# sweeps whose points would merge or repeat trials: a field the kind never
+# reads (make_scenario stores n_obstacles = 0 for a doorway; a
+# random-obstacles grid ignores gap_size), and a repeated list entry
+BAD_SWEEP_CONFIGS = (
+    "kind = doorway\nsweep = n_obstacles\nsweep_values = 0, 5, 10\ntrials = 2\n",
+    "kind = intersection, random-obstacles\nsweep = gap_size\nsweep_values = 1, 3\n",
+    "solvers = auction, auction\nsweep = n_agents\nsweep_values = 2, 2\ntrials = 3\n",
+    "solvers = auction, auction\n",
+    "kind = doorway, hallway, doorway\n",
+    "sweep = n_agents\nsweep_values = 2, 3, 2\n",
+)
+
 
 def test_parse_config_errors():
     with pytest.raises(ConfigError):
@@ -90,6 +104,12 @@ def test_parse_config_errors():
     for line in BAD_CBS_LINES:
         with pytest.raises(ConfigError):
             parse_config(line)
+    for text in BAD_SWEEP_CONFIGS:
+        with pytest.raises(ConfigError):
+            parse_config(text)
+    # the fields each kind does read still sweep
+    for kind, field in (("random-obstacles", "n_obstacles"), ("doorway, hallway", "gap_size")):
+        parse_config(f"kind = {kind}\nsweep = {field}\nsweep_values = 1, 2\n")
 
 
 
@@ -113,7 +133,7 @@ def test_build_scenario_applies_sweep_point():
     assert len(scenario.agents) == 5
 
 
-def test_run_one_trial_planner_and_cbs():
+def test_run_one_trial_planner_and_cbs(monkeypatch):
     cfg = parse_config("kind = doorway\nwidth = 8\nheight = 8\nn_agents = 2\ntrials = 1\n")
     rec = run_one_trial(cfg, "auction", "doorway", 2, 0)
     assert rec.solver == "auction"
@@ -121,6 +141,14 @@ def test_run_one_trial_planner_and_cbs():
     rec = run_one_trial(cfg, "cbs", "doorway", 2, 0)
     assert rec.solver == "cbs"
     assert rec.completed
+    # a CBS timeout yields no plan; the row scores it as nobody arriving
+    timed_out = CBSResult(paths=None, cost=math.inf, elapsed=0.5, timed_out=True, expansions=0)
+    monkeypatch.setattr(harness.cbs_mod, "run_cbs_trial", lambda *a, **k: (None, timed_out))
+    rec = run_one_trial(cfg, "cbs", "doorway", 2, 0)
+    assert not rec.completed
+    assert (rec.collisions, rec.soc, rec.weighted_soc) == (0, 0, 0)
+    assert rec.welfare == 0.0 and rec.total_payments == 0.0
+    assert rec.runtime_s == 0.5
 
 
 def test_run_experiment_writes_artifacts(tmp_path):

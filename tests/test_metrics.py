@@ -19,13 +19,10 @@ from auctionmapf.world import AgentState, GridWorld, Scenario
 
 def _trace(arrivals, completed=True, collisions=()):
     return SimulationTrace(
-        configurations=[],
-        conflicts=[],
-        collisions=list(collisions),
         arrival_times=dict(arrivals),
-        lines=[],
         ticks=max((t for t in arrivals.values() if t is not None), default=0),
         completed=completed,
+        collisions=list(collisions),
     )
 
 

@@ -436,10 +436,7 @@ def test_invalid_arguments():
 
 
 def _lines_trace(lines):
-    return SimulationTrace(
-        configurations=[], conflicts=[], collisions=[], arrival_times={},
-        lines=[TraceLine(*ln) for ln in lines], ticks=1, completed=False,
-    )
+    return SimulationTrace(arrival_times={}, lines=[TraceLine(*ln) for ln in lines], ticks=1)
 
 
 def test_sweep_audit_flags_swaps_and_pass_through():
