@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output directory (overrides config)")
     run_p.add_argument("--jobs", type=int, help="parallel trial workers")
     run_p.add_argument("--trials", type=int, help="override trials per point")
-    run_p.add_argument("--timeout", type=float, help="override per-trial timeout (s)")
+    run_p.add_argument("--timeout", type=float, help="override seconds per CBS plan")
 
     scen_p = sub.add_parser("scenario", help="generate or display scenarios")
     scen_p.add_argument("action", choices=["gen", "show"])

@@ -16,28 +16,14 @@ from typing import Iterable, Sequence
 from .planner import SimulationTrace
 from .world import Scenario
 
-TRIALS_COLUMNS = [
-    "solver",
-    "kind",
-    "n_agents",
-    "gap_size",
-    "n_obstacles",
-    "seed",
-    "runtime_s",
-    "completed",
-    "collisions",
-    "soc",
-    "weighted_soc",
-    "welfare",
-]
-
-AGGREGATE_METRICS = ["runtime_s", "collisions", "soc", "weighted_soc", "welfare"]
-
 UTILITY_CURVE_COLUMNS = ["agent_id", "true_value", "bid", "utility"]
 
 
 @dataclass
 class TrialRecord:
+    """One trials.csv row, a column per field: the identity fields, then from
+    runtime_s on the measurements that aggregates.csv summarises per group."""
+
     solver: str
     kind: str
     n_agents: int
@@ -54,6 +40,10 @@ class TrialRecord:
 
     def csv_row(self) -> list:
         return [_csv_field(getattr(self, name)) for name in TRIALS_COLUMNS]
+
+
+TRIALS_COLUMNS = [f.name for f in fields(TrialRecord)]
+AGGREGATE_METRICS = TRIALS_COLUMNS[TRIALS_COLUMNS.index("runtime_s"):]
 
 
 def _csv_field(value):
@@ -120,9 +110,8 @@ def aggregate(
 ) -> list[AggregateRecord]:
     if not records:
         raise ValueError("no records to aggregate")
-    valid = {f.name for f in fields(TrialRecord)}
     for key in group_by:
-        if key not in valid:
+        if key not in TRIALS_COLUMNS:
             raise ValueError(f"unknown grouping field {key!r}")
     groups: dict[tuple, list[TrialRecord]] = {}
     for rec in records:

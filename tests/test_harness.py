@@ -83,6 +83,7 @@ BAD_SWEEP_CONFIGS = (
     "solvers = auction, auction\n",
     "kind = doorway, hallway, doorway\n",
     "sweep = n_agents\nsweep_values = 2, 3, 2\n",
+    "kind = doorway\nsweep_values = 2, 3, 4\n",  # no sweep line: one point would run
 )
 
 
@@ -142,13 +143,29 @@ def test_run_one_trial_planner_and_cbs(monkeypatch):
     assert rec.solver == "cbs"
     assert rec.completed
     # a CBS timeout yields no plan; the row scores it as nobody arriving
-    timed_out = CBSResult(paths=None, cost=math.inf, elapsed=0.5, timed_out=True, expansions=0)
+    timed_out = CBSResult(paths=None, cost=math.inf, elapsed=20.0, timed_out=True, expansions=0)
     monkeypatch.setattr(harness.cbs_mod, "run_cbs_trial", lambda *a, **k: (None, timed_out))
+    # runtime_s is the solver call on the harness clock, not CBSResult.elapsed
+    clock = iter([100.0, 100.5])
+    monkeypatch.setattr(harness._time, "monotonic", lambda: next(clock))
     rec = run_one_trial(cfg, "cbs", "doorway", 2, 0)
     assert not rec.completed
     assert (rec.collisions, rec.soc, rec.weighted_soc) == (0, 0, 0)
     assert rec.welfare == 0.0 and rec.total_payments == 0.0
     assert rec.runtime_s == 0.5
+
+
+@pytest.mark.parametrize("solver", harness.PLANNER_SOLVERS)
+def test_planner_row_ignores_wall_clock(solver):
+    """Planner trials stop on their tick limit: a timeout far below a
+    trial's wall time changes nothing in the row but runtime_s."""
+    cfg = parse_config("kind = doorway\nwidth = 8\nheight = 8\nn_agents = 3\n")
+    rows = [
+        dataclasses.replace(run_one_trial(c, solver, "doorway", 3, 0), runtime_s=0.0)
+        for c in (cfg, dataclasses.replace(cfg, timeout=1e-9))
+    ]
+    assert rows[0] == rows[1]
+    assert rows[0].completed
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -377,7 +394,9 @@ def test_parse_config_fuzz_raises_only_config_error(tmp_path):
 
 # Digests of trials.csv and aggregates.csv with their runtime columns removed,
 # and of utility_curves.csv, for PINNED_CONFIG. Recorded before the experiment
-# layer was rewritten; a change to any artifact byte fails here.
+# layer was rewritten, and for trials.csv and aggregates.csv again when they
+# gained the total_payments and completed_* columns (without those columns
+# they still hash to the earlier pins); a change to any artifact byte fails here.
 PINNED_CONFIG = """
 kind = doorway, random-obstacles, intersection
 width = 8
@@ -392,8 +411,8 @@ solvers = auction, random-ordering, fifo, cbs, cbs-random
 base_seed = 3
 """
 PINNED_DIGESTS = {
-    "trials.csv": "1f55ddb244fb99f1dbff7a7b39ec7060399ff49cd6681c2ee3fc375cdc309662",
-    "aggregates.csv": "d040be5a4868d5ad173187169c673322c05191d7e85df7349dc0b11562937402",
+    "trials.csv": "49c6a07015d418505f5797dc57357d2639aa2df8bf6a03ecdfd5fa3994df202b",
+    "aggregates.csv": "d6a82188e46cd4b90523750363a17fbfc1fe7182e4d4001bf8c03bf96cf51ec5",
     "utility_curves.csv": "58966303b683ffd4bb30fb1c052951535f7ff9d7fe9f3a8d609fe51ff326d35c",
 }
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -147,6 +149,27 @@ def test_aggregates_csv_schema():
     assert header[:4] == ["solver", "kind", "n_agents", "count"]
     assert "welfare_mean" in header and "welfare_ci95" in header
     assert len(header) == 4 + 3 * len(AGGREGATE_METRICS)
+
+
+def test_aggregates_csv_reports_completion_rate_and_payments():
+    records = []
+    for solver, rows in (
+        ("auction", ((True, 0.5), (False, 1.25), (False, 4.0))),
+        ("fifo", ((True, 0.0), (True, 0.0))),
+    ):
+        for completed, payments in rows:
+            rec = score_trial(_trace({0: 3}, completed=completed), _scenario([1]), 0.0, solver)
+            rec.total_payments = payments
+            records.append(rec)
+    text = aggregates_csv(aggregate(records, group_by=("solver",)), ("solver",))
+    summary = [
+        (row["solver"], row["count"], row["completed_mean"], row["total_payments_mean"])
+        for row in csv.DictReader(io.StringIO(text))
+    ]
+    assert summary == [
+        ("auction", "3", f"{1 / 3:.6f}", f"{5.75 / 3:.6f}"),
+        ("fifo", "2", "1.000000", "0.000000"),
+    ]
 
 
 def test_utility_curves_csv_schema():
