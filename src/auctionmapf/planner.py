@@ -19,19 +19,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .auction import AuctionOutcome, Bid, _settle, harmonic_schedule, run_auction
-from .potential import UNREACHABLE, PotentialMap, build_potential_maps
-from .world import (
-    MOVES,
-    AgentState,
-    Cell,
-    GridWorld,
-    MoveAction,
-    Scenario,
-    WAIT,
-    sweep_cells,
-)
+from .potential import build_potential_maps
+from .world import UNREACHABLE, AgentState, Cell, CellIds, Scenario
 
-Proposals = dict[int, tuple[Cell, MoveAction]]  # agent id -> (position, move) this tick
+# Inside a trial a cell is its `world.CellIds` id and a move is (direction,
+# id offset, step); cells come back only in the trace, the auction log and
+# `AgentState.pos`.
+Move = tuple[str, int, int]
+WAIT: Move = ("wait", 0, 0)
+Proposals = dict[int, tuple[int, Move]]  # agent id -> (position, move) this tick
 
 RESOLVERS = ("auction", "random-ordering", "fifo")
 
@@ -49,11 +45,11 @@ ESCAPE_COMMIT_TICKS = 4
 
 @dataclass
 class Conflict:
-    cell: Cell                      # least shared cell, or an intruded order's cell
+    cell: int                       # id of the least shared cell, or of an intruded order's
     contenders: set[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolvedConflict:
     tick: int
     cell: Cell
@@ -62,7 +58,7 @@ class ResolvedConflict:
     ordering: AuctionOutcome
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceLine:
     tick: int
     agent_id: int
@@ -101,38 +97,22 @@ class SimulationTrace:
 _NOBODY: frozenset[int] = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActiveOrder:
-    cell: Cell
+    cell: int
     holders: dict[int, int]  # agent id -> release tick
 
 
-def _max_step(
-    grid: GridWorld,
-    pot: PotentialMap,
-    pos: Cell,
-    dr: int,
-    dc: int,
-    limit: int,
-    occupied: set[Cell],
-) -> int:
-    """Longest sweep along step (dr, dc) that descends the potential every cell.
-
-    Obstacles are UNREACHABLE in every potential map, so the descent test
-    also stops the sweep at them; only the grid bounds need their own check.
-    """
-    values = pot.values
-    height, width = grid.height, grid.width
-    r, c = pos
-    prev = values[r][c]
+def _max_step(field: list[int], pos: int, d: int, limit: int, occupied: set[int]) -> int:
+    """Longest sweep along id offset `d` that descends the potential every
+    cell. Obstacles and the ring round the grid are UNREACHABLE in every
+    field, so the descent test alone keeps the sweep on free cells."""
+    prev = field[pos]
     tau = 0
     while tau < limit:
-        r += dr
-        c += dc
-        if not (0 <= r < height and 0 <= c < width):
-            break
-        val = values[r][c]
-        if val == UNREACHABLE or val >= prev or (r, c) in occupied:
+        pos += d
+        val = field[pos]
+        if not 0 <= val < prev or pos in occupied:
             break
         prev = val
         tau += 1
@@ -140,83 +120,66 @@ def _max_step(
 
 
 def propose_move(
-    grid: GridWorld,
-    pot: PotentialMap,
-    agent: AgentState,
-    occupied: set[Cell],
-) -> MoveAction:
-    """One agent's greedy descending move; wait only when fully blocked."""
-    goal = agent.goal
-    pos = agent.pos
-    values = pot.values
-    r, c = pos
-    here = values[r][c]
-    best_by_axis: dict[str, tuple[str, int]] = {}
-    for direction, dr, dc in MOVES:
-        # sweep only where the first cell descends (UNREACHABLE is negative)
-        nr, nc = r + dr, c + dc
-        if not (0 <= nr < grid.height and 0 <= nc < grid.width and 0 <= values[nr][nc] < here):
+    ids: CellIds, field: list[int], agent: AgentState, pos: int, occupied: set[int]
+) -> Move:
+    """One agent's greedy descending move from id `pos`; wait only when fully
+    blocked."""
+    here = field[pos]
+    best_by_axis: dict[bool, Move] = {}  # True for up and down
+    for direction, d in ids.moves:
+        # sweep only where the first cell is free and descends (UNREACHABLE
+        # is negative), so the sweep is at least one cell long
+        if not 0 <= field[pos + d] < here or pos + d in occupied:
             continue
-        tau = _max_step(grid, pot, pos, dr, dc, agent.incentive, occupied)
-        if tau >= 1:
-            axis = "row" if dr else "col"
-            if axis not in best_by_axis or tau > best_by_axis[axis][1]:
-                best_by_axis[axis] = (direction, tau)
-    if not best_by_axis:
-        return WAIT
-    if len(best_by_axis) == 1:
-        axis = next(iter(best_by_axis))
-    else:
-        # prefer the axis with more ground to cover; break the remaining tie
-        # row-before-column so runs are reproducible
-        axis = "col" if abs(pos[1] - goal[1]) > abs(pos[0] - goal[0]) else "row"
-    return MoveAction(*best_by_axis[axis])
+        tau = _max_step(field, pos, d, agent.incentive, occupied)
+        axis = abs(d) != 1
+        if axis not in best_by_axis or tau > best_by_axis[axis][2]:
+            best_by_axis[axis] = (direction, d, tau)
+    if len(best_by_axis) < 2:
+        return next(iter(best_by_axis.values()), WAIT)
+    # prefer the axis with more ground to cover; break the remaining tie
+    # row-before-column so runs are reproducible
+    (r, c), (gr, gc) = ids.cells[pos], agent.goal
+    return best_by_axis[abs(c - gc) <= abs(r - gr)]
 
 
 def escape_move(
-    grid: GridWorld,
-    pot: PotentialMap,
-    agent: AgentState,
-    occupied: set[Cell],
-    tabu: Sequence[Cell],
-) -> MoveAction:
+    ids: CellIds, field: list[int], pos: int, occupied: set[int], tabu: Sequence[int]
+) -> Move:
     """One-step sidestep for an agent that has been blocked for a while.
 
     Picks the free, unoccupied neighbor with the lowest potential, preferring
     cells not in the agent's recent-position memory so opposing groups back
     out of corridors instead of oscillating in place.
     """
-    values = pot.values
-    r0, c0 = agent.pos
     candidates = []
-    for direction, dr, dc in MOVES:
-        r, c = r0 + dr, c0 + dc
-        if not (0 <= r < grid.height and 0 <= c < grid.width):
-            continue
-        val = values[r][c]  # UNREACHABLE on obstacles too
-        nxt = (r, c)
+    for direction, d in ids.moves:
+        nxt = pos + d
+        val = field[nxt]  # UNREACHABLE on obstacles and off the grid too
         if val == UNREACHABLE or nxt in occupied:
             continue
         # unvisited cells first, then visited ones by earliest remembered visit
         fresh = tabu.index(nxt) + 1 if nxt in tabu else 0
-        candidates.append((fresh, val, direction))
+        candidates.append((fresh, val, direction, d))
     if not candidates:
         return WAIT
-    return MoveAction(min(candidates)[2], 1)
+    _, _, direction, d = min(candidates)
+    return (direction, d, 1)
 
 
-def mover_index(proposals: Proposals) -> dict[Cell, set[int]]:
-    """Movers per cell this tick: every cell of each non-wait sweep. Waiting
-    agents are left out, since no sweep enters an occupied cell."""
-    movers: dict[Cell, set[int]] = {}
-    for aid, (pos, action) in proposals.items():
-        if action.direction != "wait":
-            for cell in sweep_cells(pos, action):
+def mover_index(proposals: Proposals) -> dict[int, set[int]]:
+    """Movers per cell id this tick: every cell of each non-wait sweep, the
+    ids `range(pos, pos + d * (step + 1), d)`. Waiting agents are left out,
+    since no sweep enters an occupied cell."""
+    movers: dict[int, set[int]] = {}
+    for aid, (pos, (_, d, step)) in proposals.items():
+        if step:
+            for cell in range(pos, pos + d * (step + 1), d):
                 movers.setdefault(cell, set()).add(aid)
     return movers
 
 
-def detect_conflicts(movers: dict[Cell, set[int]]) -> list[Conflict]:
+def detect_conflicts(movers: dict[int, set[int]]) -> list[Conflict]:
     """Group agents whose same-tick sweeps share any cell of the
     `mover_index`; groups merge transitively so each agent lands in at most
     one conflict, named by the least cell its members share."""
@@ -239,43 +202,39 @@ def detect_conflicts(movers: dict[Cell, set[int]]) -> list[Conflict]:
 
 def try_reassign(
     conflict: Conflict,
-    grid: GridWorld,
-    potentials: dict[Cell, PotentialMap],
+    ids: CellIds,
+    fields: dict[int, list[int]],
     proposals: Proposals,
     agents_by_id: dict[int, AgentState],
-    occupied: set[Cell],
-    movers: dict[Cell, set[int]],
+    occupied: set[int],
+    movers: dict[int, set[int]],
 ) -> Conflict:
     """Move contenders to equal-descent alternative targets where possible.
+    `fields` holds each agent's potential by agent id.
 
     Mutates proposals for reassigned agents, keeps the tick's `mover_index`
     in step with them, and returns the residual conflict.
     """
     residual = set(conflict.contenders)
     for aid in sorted(conflict.contenders):
-        pos, action = proposals[aid]
-        if action.direction == "wait":
+        pos, (_, d, tau) = proposals[aid]
+        if not tau:
             continue
-        agent = agents_by_id[aid]
-        pot = potentials[agent.goal]
-        tau = action.step
-        for direction, dr, dc in MOVES:
-            if direction == action.direction:
+        for alt_direction, alt_d in ids.moves:
+            if alt_d == d:
                 continue
             # a straight sweep never re-enters its start, so `occupied` may
             # keep the mover's own cell
-            alt_tau = _max_step(grid, pot, pos, dr, dc, agent.incentive, occupied)
-            if alt_tau != tau:
+            if _max_step(fields[aid], pos, alt_d, agents_by_id[aid].incentive, occupied) != tau:
                 continue
-            alt = MoveAction(direction, alt_tau)
-            alt_cells = sweep_cells(pos, alt)
+            alt_cells = range(pos, pos + alt_d * (tau + 1), alt_d)
             if any(movers.get(cell, _NOBODY) - {aid} for cell in alt_cells):
                 continue
-            for cell in sweep_cells(pos, action):
+            for cell in range(pos, pos + d * (tau + 1), d):
                 movers[cell].discard(aid)
             for cell in alt_cells:
                 movers.setdefault(cell, set()).add(aid)
-            proposals[aid] = (pos, alt)
+            proposals[aid] = (pos, (alt_direction, alt_d, tau))
             residual.discard(aid)
             break
 
@@ -321,10 +280,11 @@ def _resolve(
 
 class _Trial:
     """One trial's state and the four phases of its tick: propose, resolve,
-    execute and stop. `occupied` and `held` belong to the current tick."""
+    execute and stop. `at` holds each agent's cell id and `fields` its goal's
+    potential by id; `occupied` and `held` belong to the current tick."""
 
     def __init__(self, scenario: Scenario, resolver: str):
-        self.grid = grid = scenario.grid
+        grid = scenario.grid
         self.resolver = resolver
         self.agents = agents = [
             AgentState(id=a.id, pos=a.pos, goal=a.goal, incentive=a.incentive)
@@ -332,14 +292,18 @@ class _Trial:
         ]
         self.agents_by_id = {a.id: a for a in agents}
         self.in_id_order = sorted(agents, key=lambda a: a.id)
-        self.potentials = build_potential_maps(grid, [a.goal for a in agents])
+        self.ids = ids = CellIds(grid)
+        flat = {goal: ids.flat(pot.values)
+                for goal, pot in build_potential_maps(grid, [a.goal for a in agents]).items()}
+        self.fields = {a.id: flat[a.goal] for a in agents}
+        self.at = {a.id: ids.id(a.pos) for a in agents}
         self.settled: dict[tuple[int, ...], tuple] = {}
         self.rng = random.Random(f"{scenario.seed}:{resolver}")
         self.configurations = [[a.pos for a in agents]]
         self.resolved: list[ResolvedConflict] = []
         self.lines: list[TraceLine] = []
         self.orders: list[_ActiveOrder] = []
-        self.contention_tick: dict[tuple[int, Cell], int] = {}
+        self.contention_tick: dict[tuple[int, int], int] = {}
         self.stall = {a.id: 0 for a in agents}
         self.excursion = {a.id: 0 for a in agents}
         self.tabu = {a.id: deque(maxlen=ESCAPE_TABU_LEN) for a in agents}
@@ -348,7 +312,7 @@ class _Trial:
         # stalemate of one or two agents also ends the trial as deadlocked
         self.tick_limit = 4 * (grid.width + grid.height) * max(len(agents), 3)
         # sum of every agent's potential; an arrived agent adds 0
-        self.remaining = sum(self.potentials[a.goal][a.pos] for a in agents)
+        self.remaining = sum(self.fields[a.id][self.at[a.id]] for a in agents)
         self.best_remaining = math.inf
         self.last_improvement = 0
         self.idle_ticks = 0
@@ -362,29 +326,32 @@ class _Trial:
     def propose(self, active: list[AgentState]) -> Proposals:
         """Agents held by a standing order wait; the rest descend, or start
         an escape excursion once stalled."""
-        self.occupied = occupied = {a.pos for a in active}
+        ids, at, excursion = self.ids, self.at, self.excursion
+        self.occupied = occupied = {at[a.id] for a in active}
         # pruning after every tick leaves only unarrived holders released at
         # this tick or later
-        self.held = {
+        self.held = held = {
             aid for order in self.orders for aid, rel in order.holders.items() if rel > self.t
         }
         proposals: Proposals = {}
         for a in active:
-            if a.id in self.held:
-                proposals[a.id] = (a.pos, WAIT)
+            aid = a.id
+            pos = at[aid]
+            if aid in held:
+                proposals[aid] = (pos, WAIT)
                 continue
-            pot = self.potentials[a.goal]
+            field = self.fields[aid]
             # no sweep re-enters its start cell, so the mover's own cell may
             # stay in `occupied`; an agent already on an excursion escapes
             # whatever descent would propose
-            if self.excursion[a.id] == 0:
-                move = propose_move(self.grid, pot, a, occupied)
-                if move.direction == "wait" and self.stall[a.id] >= STALL_ESCAPE_TICKS:
-                    self.excursion[a.id] = ESCAPE_COMMIT_TICKS
-            if self.excursion[a.id] > 0:
-                self.excursion[a.id] -= 1
-                move = escape_move(self.grid, pot, a, occupied, self.tabu[a.id])
-            proposals[a.id] = (a.pos, move)
+            if excursion[aid] == 0:
+                move = propose_move(ids, field, a, pos, occupied)
+                if not move[2] and self.stall[aid] >= STALL_ESCAPE_TICKS:
+                    excursion[aid] = ESCAPE_COMMIT_TICKS
+            if excursion[aid] > 0:
+                excursion[aid] -= 1
+                move = escape_move(ids, field, pos, occupied, self.tabu[aid])
+            proposals[aid] = (pos, move)
         return proposals
 
     def resolve(self, proposals: Proposals) -> None:
@@ -410,7 +377,7 @@ class _Trial:
         conflicts.sort(key=lambda c: c.cell)
 
         residuals = [
-            try_reassign(c, self.grid, self.potentials, proposals, self.agents_by_id,
+            try_reassign(c, self.ids, self.fields, proposals, self.agents_by_id,
                          self.occupied, movers)
             for c in conflicts
         ]
@@ -421,7 +388,8 @@ class _Trial:
                 aid: self.contention_tick.setdefault((aid, conflict.cell), t)
                 for aid in conflict.contenders
             }
-            contenders = [self.agents_by_id[aid] for aid in sorted(conflict.contenders)]
+            in_id_order = tuple(sorted(conflict.contenders))
+            contenders = [self.agents_by_id[aid] for aid in in_id_order]
             ordering, bids = _resolve(self.resolver, contenders, arrivals, self.rng, self.settled)
             self.orders.append(
                 _ActiveOrder(
@@ -432,52 +400,57 @@ class _Trial:
             self.resolved.append(
                 ResolvedConflict(
                     tick=t,
-                    cell=conflict.cell,
-                    contenders=tuple(sorted(conflict.contenders)),
+                    cell=self.ids.cells[conflict.cell],
+                    contenders=in_id_order,
                     bids=bids,
                     ordering=ordering,
                 )
             )
             for aid, q in ordering.ordering.items():
-                a = self.agents_by_id[aid]
+                pos, move = proposals[aid]
                 if q > 1:
-                    proposals[aid] = (a.pos, WAIT)
-                elif proposals[aid][1].direction == "wait":
+                    proposals[aid] = (pos, WAIT)
+                elif not move[2]:
                     # winner was holding from a superseded ordering: give it a
                     # fresh move, vetted by the safety pass
-                    proposals[aid] = (a.pos, propose_move(
-                        self.grid, self.potentials[a.goal], a, self.occupied))
+                    proposals[aid] = (pos, propose_move(
+                        self.ids, self.fields[aid], self.agents_by_id[aid], pos, self.occupied))
 
     def execute(self, active: list[AgentState], proposals: Proposals) -> bool:
         """Safety pass, arrivals and order pruning; True if anyone moved."""
-        t = self.t
+        t, cells, at, held, stall = self.t, self.ids.cells, self.at, self.held, self.stall
+        line = self.lines.append
         # executed sweeps must be pairwise disjoint
-        taken = {a.pos for a in active if proposals[a.id][1].direction == "wait"}
+        taken = {pos for pos, move in proposals.values() if not move[2]}
         moved_any = False
         for a in self.in_id_order:
             if a.arrived:
                 continue
-            pos, action = proposals[a.id]
-            waiting = action.direction == "wait"
-            cells = [pos] if waiting else sweep_cells(pos, action)
-            guarded = not taken.isdisjoint(cells[1:])
-            if guarded or waiting:
+            aid = a.id
+            pos, (direction, d, step) = proposals[aid]
+            end = pos + d * step
+            # a move sweeps range(pos, end + d, d); past its start it may
+            # enter no taken cell
+            guarded = step > 0 and not taken.isdisjoint(range(pos + d, end + d, d))
+            if guarded or not step:
                 # a held agent waiting its turn is not stalled
-                if guarded or a.id not in self.held:
-                    self.stall[a.id] += 1
+                if guarded or aid not in held:
+                    stall[aid] += 1
                 self.guard_waits += guarded
                 taken.add(pos)
-                self.lines.append(TraceLine(t, a.id, *pos, "wait", 0, True))
+                line(TraceLine(t, aid, *cells[pos], "wait", 0, True))
                 continue
-            taken.update(cells)
-            a.pos = end = cells[-1]  # `_max_step` and `escape_move` keep sweeps on the grid
-            values = self.potentials[a.goal].values
-            self.remaining += values[end[0]][end[1]] - values[pos[0]][pos[1]]
-            self.tabu[a.id].append(pos)
-            self.stall[a.id] = 0
+            taken.update(range(pos, end + d, d))
+            # `_max_step` and `escape_move` keep sweeps on the grid
+            at[aid] = end
+            a.pos = cells[end]
+            field = self.fields[aid]
+            self.remaining += field[end] - field[pos]
+            self.tabu[aid].append(pos)
+            stall[aid] = 0
             moved_any = True
-            self.lines.append(TraceLine(t, a.id, *end, action.direction, action.step, False))
-            if end == a.goal:
+            line(TraceLine(t, aid, *a.pos, direction, step, False))
+            if a.pos == a.goal:
                 a.arrived = True
                 a.arrival_time = t + 1
 

@@ -71,6 +71,30 @@ class GridWorld:
         return [nxt for _, dr, dc in MOVES if self.is_free(nxt := (r + dr, c + dc))]
 
 
+class CellIds:
+    """Padded integer ids of one grid's cells: `(r + 1) * (W + 2) + (c + 1)`.
+
+    A ring of ids round the grid names no cell, so a step off any edge lands
+    on the ring instead of wrapping, and id order is (row, col) order. Build
+    one per trial or plan; never cache one on the grid or the module."""
+
+    def __init__(self, grid: GridWorld):
+        self.stride = stride = grid.width + 2
+        self.moves = tuple((name, dr * stride + dc) for name, dr, dc in MOVES)  # (name, offset)
+        rows = [[(r, c) for c in range(grid.width)] for r in range(grid.height)]
+        self.cells: list[Optional[Cell]] = self.flat(rows, ring=None)  # id -> cell
+
+    def id(self, cell: Cell) -> int:
+        return (cell[0] + 1) * self.stride + cell[1] + 1
+
+    def flat(self, rows: Sequence[Sequence], ring=UNREACHABLE) -> list:
+        """[row][col] values as one list indexed by id, `ring` on the ring."""
+        flat = [ring] * self.stride
+        for row in rows:
+            flat += (ring, *row, ring)
+        return flat + [ring] * self.stride
+
+
 @dataclass(frozen=True)
 class MoveAction:
     direction: str

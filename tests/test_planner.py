@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from auctionmapf.auction import Bid, harmonic_schedule, run_auction
 from auctionmapf.planner import (
     RESOLVERS,
-    Conflict,
+    WAIT,
     SimulationTrace,
     TraceLine,
     _resolve,
     _Trial,
     detect_conflicts,
+    escape_move,
     mover_index,
     propose_move,
     run_trial,
@@ -24,13 +25,14 @@ from auctionmapf.planner import (
 from auctionmapf.potential import build_potential_map, build_potential_maps
 from auctionmapf.world import (
     AgentState,
+    CellIds,
     GridWorld,
     MoveAction,
     SCENARIO_KINDS,
     Scenario,
     ScenarioError,
-    WAIT,
     make_scenario,
+    sweep_cells,
 )
 
 from helpers import (
@@ -49,39 +51,80 @@ def _agent(aid, pos, goal, incentive=1):
     return AgentState(id=aid, pos=pos, goal=goal, incentive=incentive)
 
 
+def _field(ids, grid, goal):
+    """A goal's potential as the planner reads it: one list indexed by id."""
+    return ids.flat(build_potential_map(grid, goal).values)
+
+
+def _action(ids, move):
+    """The MoveAction a planner move (direction, id offset, step) encodes;
+    its offset must be its direction's."""
+    direction, d, step = move
+    assert d == dict(ids.moves).get(direction, 0)
+    return MoveAction(direction, step)
+
+
+def _to_ids(ids, proposals):
+    """{agent id: (cell, MoveAction)} as the planner's id proposals."""
+    offsets = dict(ids.moves)
+    return {
+        aid: (ids.id(pos), (m.direction, offsets.get(m.direction, 0), m.step))
+        for aid, (pos, m) in proposals.items()
+    }
+
+
+def _propose(grid, agent, occupied=()):
+    ids = CellIds(grid)
+    move = propose_move(ids, _field(ids, grid, agent.goal), agent, ids.id(agent.pos),
+                        {ids.id(cell) for cell in occupied})
+    return _action(ids, move)
+
+
 def test_propose_move_unobstructed_full_step():
-    grid = GridWorld(10, 10)
-    pot = build_potential_map(grid, (5, 9))
     agent = _agent(0, (5, 0), (5, 9), incentive=3)
-    assert propose_move(grid, pot, agent, set()) == MoveAction("right", 3)
+    assert _propose(GridWorld(10, 10), agent) == MoveAction("right", 3)
 
 
 def test_propose_move_never_overshoots_goal():
-    grid = GridWorld(10, 10)
-    pot = build_potential_map(grid, (5, 5))
     agent = _agent(0, (5, 4), (5, 5), incentive=3)
-    assert propose_move(grid, pot, agent, set()) == MoveAction("right", 1)
+    assert _propose(GridWorld(10, 10), agent) == MoveAction("right", 1)
 
 
 def test_propose_move_waits_when_only_descent_blocked():
-    grid = GridWorld(5, 1)
-    pot = build_potential_map(grid, (0, 4))
     agent = _agent(0, (0, 0), (0, 4), incentive=2)
-    assert propose_move(grid, pot, agent, {(0, 1)}) == MoveAction("wait", 0)
+    assert _propose(GridWorld(5, 1), agent, {(0, 1)}) == MoveAction("wait", 0)
 
 
 def test_propose_move_prefers_axis_with_more_remaining_distance():
-    grid = GridWorld(10, 10)
-    pot = build_potential_map(grid, (2, 3))
     agent = _agent(0, (0, 0), (2, 3), incentive=5)
-    assert propose_move(grid, pot, agent, set()) == MoveAction("right", 3)
+    assert _propose(GridWorld(10, 10), agent) == MoveAction("right", 3)
 
 
 def test_propose_move_row_before_column_on_exact_tie():
-    grid = GridWorld(10, 10)
-    pot = build_potential_map(grid, (2, 2))
     agent = _agent(0, (0, 0), (2, 2), incentive=5)
-    assert propose_move(grid, pot, agent, set()) == MoveAction("down", 2)
+    assert _propose(GridWorld(10, 10), agent) == MoveAction("down", 2)
+
+
+@pytest.mark.parametrize("width, height", [(1, 5), (5, 1), (6, 3)])
+def test_corner_moves_stay_on_the_grid(width, height):
+    """From every corner, toward every goal, descent and escape sweep only
+    the cells their direction reaches on the grid: no id runs off an edge or
+    wraps into the next row. With every neighbour taken, escape waits."""
+    grid = GridWorld(width, height)
+    ids = CellIds(grid)
+    corners = {(0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1)}
+    for corner in corners:
+        pos = ids.id(corner)
+        for goal in grid.free_cells():
+            field = _field(ids, grid, goal)
+            agent = _agent(0, corner, goal, incentive=width + height)
+            for move in (propose_move(ids, field, agent, pos, set()),
+                         escape_move(ids, field, pos, set(), [])):
+                cells = [ids.cells[pos + move[1] * k] for k in range(move[2] + 1)]
+                assert cells == sweep_cells(corner, _action(ids, move))
+                assert all(grid.is_free(cell) for cell in cells)
+            neighbours = {ids.id(cell) for cell in grid.neighbors(corner)}
+            assert escape_move(ids, field, pos, neighbours, []) == WAIT
 
 
 def test_propose_moves_skips_arrived_agents():
@@ -93,16 +136,20 @@ def test_propose_moves_skips_arrived_agents():
     assert (first.agent_id, first.direction, first.step) == (0, "right", 2)
 
 
+# every sweep below stays on this grid
+_IDS = CellIds(GridWorld(6, 5))
+
+
 def test_detect_conflicts_shared_target():
     proposals = {
         0: ((2, 1), MoveAction("right", 1)),
         1: ((1, 2), MoveAction("down", 1)),
         2: ((2, 2), MoveAction("wait", 0)),   # waits on the cell both sweep
     }
-    conflicts = detect_conflicts(mover_index(proposals))
+    conflicts = detect_conflicts(mover_index(_to_ids(_IDS, proposals)))
     assert len(conflicts) == 1
     assert conflicts[0].contenders == {0, 1}
-    assert conflicts[0].cell == (2, 2)
+    assert _IDS.cells[conflicts[0].cell] == (2, 2)
 
 
 def test_detect_conflicts_overlapping_sweeps():
@@ -110,9 +157,10 @@ def test_detect_conflicts_overlapping_sweeps():
         0: ((2, 1), MoveAction("right", 3)),  # sweeps (2,1)..(2,4)
         1: ((2, 5), MoveAction("left", 2)),   # sweeps (2,5)..(2,3)
     }
-    conflicts = detect_conflicts(mover_index(proposals))
+    conflicts = detect_conflicts(mover_index(_to_ids(_IDS, proposals)))
     assert len(conflicts) == 1
-    assert conflicts[0].cell == (2, 3)  # the least of the shared (2, 3) and (2, 4)
+    # the least of the shared (2, 3) and (2, 4)
+    assert _IDS.cells[conflicts[0].cell] == (2, 3)
 
 
 def test_detect_conflicts_disjoint_sweeps():
@@ -120,7 +168,7 @@ def test_detect_conflicts_disjoint_sweeps():
         0: ((0, 0), MoveAction("right", 2)),
         1: ((4, 0), MoveAction("right", 2)),
     }
-    assert detect_conflicts(mover_index(proposals)) == []
+    assert detect_conflicts(mover_index(_to_ids(_IDS, proposals))) == []
 
 
 def test_detect_conflicts_merges_transitively():
@@ -129,7 +177,7 @@ def test_detect_conflicts_merges_transitively():
         1: ((0, 4), MoveAction("left", 2)),   # (0,4)..(0,2)
         2: ((1, 4), MoveAction("up", 1)),     # (1,4),(0,4)
     }
-    conflicts = detect_conflicts(mover_index(proposals))
+    conflicts = detect_conflicts(mover_index(_to_ids(_IDS, proposals)))
     assert len(conflicts) == 1
     assert conflicts[0].contenders == {0, 1, 2}
 
@@ -144,30 +192,43 @@ _SWEEP = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.integers(0, 40), _SWEEP, max_size=12))
 def test_detect_conflicts_are_the_components_of_shared_cells(sweeps):
-    """Start cells on a 6x6 grid; a sweep may run off it, which grouping
-    never looks at."""
-    proposals = {
-        aid: (pos, WAIT if direction == "wait" else MoveAction(direction, step))
-        for aid, (pos, direction, step) in sweeps.items()
-    }
+    """Start cells on a 6x6 grid; a sweep may run 3 cells off it, which
+    grouping never looks at, so ids come from a 12x12 grid shifted by 3."""
+    ids = CellIds(GridWorld(12, 12))
+    proposals = _to_ids(ids, {
+        aid: ((r + 3, c + 3), MoveAction(direction, step))
+        for aid, ((r, c), direction, step) in sweeps.items()
+    })
     conflicts = detect_conflicts(mover_index(proposals))
-    found = [(c.cell, tuple(sorted(c.contenders))) for c in conflicts]
-    assert found == sweep_conflict_groups(sweeps)
+    found = [(ids.cells[c.cell], tuple(sorted(c.contenders))) for c in conflicts]
+    assert found == [((r + 3, c + 3), aids) for (r, c), aids in sweep_conflict_groups(sweeps)]
+
+
+def _reassign(grid, agents, proposals):
+    """try_reassign on the one conflict of cell proposals; returns the
+    residual, the proposals and the movers index, all in cells again."""
+    ids = CellIds(grid)
+    fields = {a.id: _field(ids, grid, a.goal) for a in agents}
+    by_id = _to_ids(ids, proposals)
+    movers = mover_index(by_id)
+    (conflict,) = detect_conflicts(movers)
+    assert conflict.contenders == set(proposals)
+    occupied = {ids.id(a.pos) for a in agents}
+    residual = try_reassign(conflict, ids, fields, by_id, {a.id: a for a in agents},
+                            occupied, movers)
+    cells = {aid: (ids.cells[pos], _action(ids, move)) for aid, (pos, move) in by_id.items()}
+    return residual, cells, {ids.cells[cell]: aids for cell, aids in movers.items()}
 
 
 def test_try_reassign_moves_agent_with_equal_alternative():
     grid = GridWorld(4, 4)
     a = _agent(0, (1, 1), (2, 2), 1)
     b = _agent(1, (2, 0), (2, 2), 1)
-    potentials = {(2, 2): build_potential_map(grid, (2, 2))}
     proposals = {
         0: ((1, 1), MoveAction("down", 1)),   # to (2,1)
         1: ((2, 0), MoveAction("right", 1)),  # to (2,1)
     }
-    movers = mover_index(proposals)
-    conflict = detect_conflicts(movers)[0]
-    occupied = {a.pos, b.pos}
-    residual = try_reassign(conflict, grid, potentials, proposals, {0: a, 1: b}, occupied, movers)
+    residual, proposals, movers = _reassign(grid, [a, b], proposals)
     assert residual.contenders == {1}
     assert proposals[0] == ((1, 1), MoveAction("right", 1))  # rerouted via (1,2)
     assert movers[(1, 2)] == {0} and movers[(2, 1)] == {1}  # index kept in step
@@ -178,19 +239,12 @@ def test_try_reassign_three_contenders_one_reassignable():
     a = _agent(0, (1, 1), (2, 2), 1)
     b = _agent(1, (2, 0), (2, 2), 1)
     c = _agent(2, (3, 1), (1, 1), 1)
-    potentials = build_potential_maps(grid, [(2, 2), (1, 1)])
     proposals = {
         0: ((1, 1), MoveAction("down", 1)),
         1: ((2, 0), MoveAction("right", 1)),
         2: ((3, 1), MoveAction("up", 1)),
     }
-    movers = mover_index(proposals)
-    conflict = detect_conflicts(movers)[0]
-    assert conflict.contenders == {0, 1, 2}
-    occupied = {a.pos, b.pos, c.pos}
-    residual = try_reassign(
-        conflict, grid, potentials, proposals, {0: a, 1: b, 2: c}, occupied, movers
-    )
+    residual, _, _ = _reassign(grid, [a, b, c], proposals)
     assert residual.contenders == {1, 2}
 
 
@@ -203,16 +257,11 @@ def test_try_reassign_no_alternative_in_narrow_gap():
     # head-on approach to the single gap cell from both sides of the wall
     a = _agent(0, (gap[0], 4), (gap[0], 6), 1)
     b = _agent(1, (gap[0], 6), (gap[0], 4), 1)
-    potentials = build_potential_maps(grid, [a.goal, b.goal])
     proposals = {
         0: (a.pos, MoveAction("right", 1)),
         1: (b.pos, MoveAction("left", 1)),
     }
-    movers = mover_index(proposals)
-    conflict = detect_conflicts(movers)[0]
-    residual = try_reassign(
-        conflict, grid, potentials, proposals, {0: a, 1: b}, {a.pos, b.pos}, movers
-    )
+    residual, _, _ = _reassign(grid, [a, b], proposals)
     assert residual.contenders == {0, 1}
 
 
@@ -530,6 +579,48 @@ def _missettled(trace, memo):
         if logged != memo[amounts]:
             bad.append((rc.tick, rc.cell))
     return bad
+
+
+# `checks.planner_digest` of each trial, recorded at commit 1a99cc5, before
+# the planner ran on cell ids; the reference replay below is all square
+NON_SQUARE_DIGESTS = {
+    ("doorway", 18, 12, 12, 2, 0): (
+        "fb76ba7b650824a3ac89488c6ed4c89bb1b269709a36929a58150ca880bdeae0",
+        "7038abe6a1f57c00f98e8404e253dbbbe1044457285f3faef6d12921bca41a09",
+        "b73d3a2c57f0560e363b4b5c4902a2b282356c542921a12027128661f1358701",
+    ),
+    ("hallway", 12, 20, 14, 3, 0): (
+        "fd3b3c6194768f7e8a93a2e31a9fa7a5878a0679ec34b7cc45db3cbe945c648d",
+        "9411cefd1412291c67401761fd5b17ba6a07a324b16c32ccd27329acde769579",
+        "87010e78d5e8f195d6e543722b79b4eca2107ee61fad540d439a1dceb641a187",
+    ),
+    ("intersection", 20, 14, 12, 4, 0): (
+        "00c49db973da34aeb5acc6b87f7db0c8ab48599ea9610f43c634e965c5de7af6",
+        "f2dc58c986b1aca24b8e9099ff0f77622db71cf073001e742121dc71f1de31c9",
+        "830fec6dc2e2ff21ec1d1eed6086b4c87c275c45537de02515227f0234f25977",
+    ),
+    ("random-obstacles", 15, 9, 8, 1, 12): (
+        "bd931c9e9847420a1ac7e15a66091e50a7d0ba51bf60680232689a658e3c843b",
+        "f95b41b92351249c836ad5f983d25746d623c2bbeadee7098504c6b7d36d4fbf",
+        "68482b22b48ec8cda829bbb9b6f0bbac83ef91bdf9339d766db4beb28c1c4fb7",
+    ),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(NON_SQUARE_DIGESTS), ids=lambda i: f"{i[0]}-{i[1]}x{i[2]}")
+def test_traces_match_pinned_digests_on_non_square_grids(instance, monkeypatch):
+    """Width and height differ on every grid here, so a cell-id scheme that
+    mixes them up changes some trace; every trial holds auctions."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from checks import planner_digest
+
+    kind, width, height, n, gap, n_obstacles = instance
+    for seed, digest in enumerate(NON_SQUARE_DIGESTS[instance]):
+        scenario = make_scenario(kind, width, height, n, gap_size=gap, rng_seed=seed,
+                                 n_obstacles=n_obstacles)
+        trace = run_trial(scenario, resolver="auction")
+        assert trace.conflicts
+        assert planner_digest(trace) == digest, seed
 
 
 def test_traces_match_benchmark_reference_digests(monkeypatch):

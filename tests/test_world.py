@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionmapf.world import (
+    MOVES,
     AgentState,
+    CellIds,
     GridWorld,
     MoveAction,
     Scenario,
@@ -33,6 +35,29 @@ def test_inverse_action_round_trip():
             back = sweep_cells(there, MoveAction(opposite, step))
             assert back[-1] == (4, 4)
             assert back[::-1] == sweep_cells((4, 4), MoveAction(direction, step))
+
+
+@pytest.mark.parametrize("width, height", [(1, 6), (6, 1), (5, 3), (3, 5)])
+def test_cell_ids_round_trip_in_row_major_order_with_an_unreachable_ring(width, height):
+    grid = GridWorld(width, height, frozenset({(height - 1, width - 1)}))
+    ids = CellIds(grid)
+    cells = [(r, c) for r in range(height) for c in range(width)]
+    numbered = [ids.id(cell) for cell in cells]
+    assert [ids.cells[i] for i in numbered] == cells
+    # int order is (row, col) order
+    assert numbered == sorted(set(numbered))
+    # each move's offset reaches the neighbour it names, or a ring id
+    for (r, c), i in zip(cells, numbered):
+        for (name, d), (_, dr, dc) in zip(ids.moves, MOVES):
+            nxt = (r + dr, c + dc)
+            assert ids.cells[i + d] == (nxt if grid.in_bounds(nxt) else None), name
+    ring = [i for i, cell in enumerate(ids.cells) if cell is None]
+    assert len(ring) == len(ids.cells) - width * height == 2 * (width + height) + 4
+    rows = distances(grid, (0, 0))
+    field = ids.flat(rows)
+    assert len(field) == len(ids.cells)
+    assert all(field[i] == UNREACHABLE for i in ring)
+    assert [field[i] for i in numbered] == [rows[r][c] for r, c in cells]
 
 
 def test_sweep_cells_includes_start():
