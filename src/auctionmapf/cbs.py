@@ -302,7 +302,6 @@ def execute_multihop(
         arrival_times={aid: len(hops[aid]) for aid in ids},
         lines=lines,
         ticks=ticks,
-        completed=True,
         collisions=collisions,
     )
 

@@ -23,8 +23,8 @@ from .potential import build_potential_maps
 from .world import UNREACHABLE, AgentState, Cell, CellIds, Scenario
 
 # Inside a trial a cell is its `world.CellIds` id and a move is (direction,
-# id offset, step); cells come back only in the trace, the auction log and
-# `AgentState.pos`.
+# id offset, step); cells come back only in the trace lines, the auction log
+# and the configurations.
 Move = tuple[str, int, int]
 WAIT: Move = ("wait", 0, 0)
 Proposals = dict[int, tuple[int, Move]]  # agent id -> (position, move) this tick
@@ -77,12 +77,15 @@ class SimulationTrace:
     arrival_times: dict[int, Optional[int]]
     lines: list[TraceLine] = field(default_factory=list)
     ticks: int = 0
-    completed: bool = False
     configurations: list[list[Cell]] = field(default_factory=list)
     conflicts: list[ResolvedConflict] = field(default_factory=list)
     deadlocked: bool = False
     guard_waits: int = 0
     collisions: list[tuple[int, Cell, tuple[int, ...]]] = field(default_factory=list)
+
+    @property
+    def completed(self) -> bool:
+        return None not in self.arrival_times.values()
 
     def export_lines(self) -> str:
         out = []
@@ -280,16 +283,15 @@ def _resolve(
 
 class _Trial:
     """One trial's state and the four phases of its tick: propose, resolve,
-    execute and stop. `at` holds each agent's cell id and `fields` its goal's
-    potential by id; `occupied` and `held` belong to the current tick."""
+    execute and stop. The scenario's agents are read, never written: `at`
+    holds each agent's cell id, `goal` its goal's id, `fields` its goal's
+    potential by id and `arrival` its arrival tick (None until it arrives);
+    `occupied` and `held` belong to the current tick."""
 
     def __init__(self, scenario: Scenario, resolver: str):
         grid = scenario.grid
         self.resolver = resolver
-        self.agents = agents = [
-            AgentState(id=a.id, pos=a.pos, goal=a.goal, incentive=a.incentive)
-            for a in scenario.agents
-        ]
+        self.agents = agents = scenario.agents
         self.agents_by_id = {a.id: a for a in agents}
         self.in_id_order = sorted(agents, key=lambda a: a.id)
         self.ids = ids = CellIds(grid)
@@ -297,6 +299,8 @@ class _Trial:
                 for goal, pot in build_potential_maps(grid, [a.goal for a in agents]).items()}
         self.fields = {a.id: flat[a.goal] for a in agents}
         self.at = {a.id: ids.id(a.pos) for a in agents}
+        self.goal = {a.id: ids.id(a.goal) for a in agents}
+        self.arrival = {a.id: 0 if a.pos == a.goal else None for a in agents}
         self.settled: dict[tuple[int, ...], tuple] = {}
         self.rng = random.Random(f"{scenario.seed}:{resolver}")
         self.configurations = [[a.pos for a in agents]]
@@ -318,10 +322,6 @@ class _Trial:
         self.idle_ticks = 0
         self.guard_waits = 0
         self.t = 0
-        for a in agents:
-            if a.pos == a.goal:
-                a.arrived = True
-                a.arrival_time = 0
 
     def propose(self, active: list[AgentState]) -> Proposals:
         """Agents held by a standing order wait; the rest descend, or start
@@ -416,17 +416,18 @@ class _Trial:
                     proposals[aid] = (pos, propose_move(
                         self.ids, self.fields[aid], self.agents_by_id[aid], pos, self.occupied))
 
-    def execute(self, active: list[AgentState], proposals: Proposals) -> bool:
+    def execute(self, proposals: Proposals) -> bool:
         """Safety pass, arrivals and order pruning; True if anyone moved."""
         t, cells, at, held, stall = self.t, self.ids.cells, self.at, self.held, self.stall
+        arrival = self.arrival
         line = self.lines.append
         # executed sweeps must be pairwise disjoint
         taken = {pos for pos, move in proposals.values() if not move[2]}
         moved_any = False
         for a in self.in_id_order:
-            if a.arrived:
-                continue
             aid = a.id
+            if arrival[aid] is not None:
+                continue
             pos, (direction, d, step) = proposals[aid]
             end = pos + d * step
             # a move sweeps range(pos, end + d, d); past its start it may
@@ -443,24 +444,22 @@ class _Trial:
             taken.update(range(pos, end + d, d))
             # `_max_step` and `escape_move` keep sweeps on the grid
             at[aid] = end
-            a.pos = cells[end]
             field = self.fields[aid]
             self.remaining += field[end] - field[pos]
             self.tabu[aid].append(pos)
             stall[aid] = 0
             moved_any = True
-            line(TraceLine(t, aid, *a.pos, direction, step, False))
-            if a.pos == a.goal:
-                a.arrived = True
-                a.arrival_time = t + 1
+            line(TraceLine(t, aid, *cells[end], direction, step, False))
+            if end == self.goal[aid]:
+                arrival[aid] = t + 1
 
-        self.configurations.append([a.pos for a in self.agents])
+        self.configurations.append([cells[p] for p in at.values()])  # in scenario order
 
         for order in list(self.orders):
             order.holders = {
                 aid: rel
                 for aid, rel in order.holders.items()
-                if rel > t and not self.agents_by_id[aid].arrived
+                if rel > t and arrival[aid] is None
             }
             if not order.holders:
                 self.orders.remove(order)
@@ -498,26 +497,24 @@ def run_trial(
     deadlocked = False
     start_time = _time.monotonic()
     while trial.t < trial.tick_limit:
-        active = [a for a in trial.agents if not a.arrived]
+        active = [a for a in trial.agents if trial.arrival[a.id] is None]
         if not active:
             break
         if timeout is not None and _time.monotonic() - start_time > timeout:
             break
         proposals = trial.propose(active)
         trial.resolve(proposals)
-        deadlocked = trial.stop(trial.execute(active, proposals))
+        deadlocked = trial.stop(trial.execute(proposals))
         trial.t += 1
         if deadlocked:
             break
 
-    agents = trial.agents
     return SimulationTrace(
         configurations=trial.configurations,
         conflicts=trial.resolved,
-        arrival_times={a.id: a.arrival_time for a in agents},
+        arrival_times=trial.arrival,
         lines=trial.lines,
         ticks=trial.t,
-        completed=all(a.arrived for a in agents),
         deadlocked=deadlocked,
         guard_waits=trial.guard_waits,
     )

@@ -119,8 +119,6 @@ class AgentState:
     pos: Cell
     goal: Cell
     incentive: int
-    arrived: bool = False
-    arrival_time: Optional[int] = None
 
     def __post_init__(self):
         if self.incentive < 1:

@@ -172,11 +172,11 @@ def sweep_collisions(trace):
         for k in range(ln.step + 1):
             cell = (ln.row - dr * k, ln.col - dc * k)
             swept.setdefault((ln.tick, cell), []).append(ln.agent_id)
-    return [
+    return sorted(
         (tick, cell, tuple(sorted(aids)))
-        for (tick, cell), aids in sorted(swept.items())
+        for (tick, cell), aids in swept.items()
         if len(aids) > 1
-    ]
+    )
 
 
 def sweep_bounds_violations(trace, grid):

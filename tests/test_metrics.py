@@ -19,11 +19,10 @@ from auctionmapf.planner import SimulationTrace
 from auctionmapf.world import AgentState, GridWorld, Scenario
 
 
-def _trace(arrivals, completed=True, collisions=()):
+def _trace(arrivals, collisions=()):
     return SimulationTrace(
         arrival_times=dict(arrivals),
         ticks=max((t for t in arrivals.values() if t is not None), default=0),
-        completed=completed,
         collisions=list(collisions),
     )
 
@@ -57,7 +56,7 @@ def test_score_trial_all_arrive_at_tick_one():
 
 def test_score_trial_excludes_unarrived_agents():
     record = score_trial(
-        _trace({0: 4, 1: None}, completed=False), _scenario([2, 3]), 0.0, "auction"
+        _trace({0: 4, 1: None}), _scenario([2, 3]), 0.0, "auction"
     )
     assert not record.completed
     assert record.soc == 4
@@ -158,7 +157,7 @@ def test_aggregates_csv_reports_completion_rate_and_payments():
         ("fifo", ((True, 0.0), (True, 0.0))),
     ):
         for completed, payments in rows:
-            rec = score_trial(_trace({0: 3}, completed=completed), _scenario([1]), 0.0, solver)
+            rec = score_trial(_trace({0: 3 if completed else None}), _scenario([1]), 0.0, solver)
             rec.total_payments = payments
             records.append(rec)
     text = aggregates_csv(aggregate(records, group_by=("solver",)), ("solver",))

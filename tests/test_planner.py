@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -431,21 +432,26 @@ def test_running_stalemate_sum_matches_distance_oracle(seed):
     trial = _Trial(scenario, "auction")
 
     def oracle():
-        return sum(fields[a.goal][a.pos[0]][a.pos[1]] for a in trial.agents if not a.arrived)
+        total = 0
+        for a in trial.agents:
+            if trial.arrival[a.id] is None:
+                r, c = trial.ids.cells[trial.at[a.id]]
+                total += fields[a.goal][r][c]
+        return total
 
     assert trial.remaining == oracle() > 0
     deadlocked = False
     while not deadlocked and trial.t < trial.tick_limit:
-        active = [a for a in trial.agents if not a.arrived]
+        active = [a for a in trial.agents if trial.arrival[a.id] is None]
         if not active:
             break
         proposals = trial.propose(active)
         trial.resolve(proposals)
-        deadlocked = trial.stop(trial.execute(active, proposals))
+        deadlocked = trial.stop(trial.execute(proposals))
         trial.t += 1
         assert trial.remaining == oracle(), f"tick {trial.t - 1}"
     assert deadlocked == (seed == 0)
-    assert (trial.remaining == 0) == all(a.arrived for a in trial.agents)
+    assert (trial.remaining == 0) == (None not in trial.arrival.values())
 
 
 def test_fifo_orders_by_arrival_then_id():
@@ -473,6 +479,21 @@ def test_timeout_marks_trace():
     trace = run_trial(scenario, timeout=0.0)
     assert not trace.completed
     assert not trace.deadlocked
+
+
+def test_completed_is_read_off_arrival_times():
+    assert SimulationTrace({0: 3}).completed
+    assert not SimulationTrace({0: 3, 1: None}).completed
+
+
+# among these trials some complete and some deadlock
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("resolver", RESOLVERS)
+def test_run_trial_leaves_scenario_agents_unchanged(seed, resolver):
+    scenario = make_scenario("hallway", 10, 10, 6, gap_size=1, rng_seed=seed)
+    before = [dataclasses.replace(a) for a in scenario.agents]
+    run_trial(scenario, resolver=resolver)
+    assert scenario.agents == before
 
 
 def test_invalid_arguments():
