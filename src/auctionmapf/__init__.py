@@ -28,10 +28,8 @@ from .potential import UNREACHABLE, PotentialMap, build_potential_map, build_pot
 from .world import (
     AgentState,
     GridWorld,
-    MoveAction,
     Scenario,
     ScenarioError,
-    grid_from_ascii,
     grid_to_ascii,
     make_scenario,
     scenario_from_json,

@@ -47,8 +47,11 @@ class CBSResult:
     paths: Optional[dict[int, list[Cell]]]
     cost: float
     elapsed: float
-    timed_out: bool
     expansions: int
+
+    @property
+    def timed_out(self) -> bool:
+        return self.paths is None
 
 
 class CBSTimeout(Exception):
@@ -232,7 +235,7 @@ def plan_cbs(
             expansions += 1
             branch = _first_conflict(paths)
             if branch is None:
-                return CBSResult(paths=paths, cost=cost, timed_out=False,
+                return CBSResult(paths=paths, cost=cost,
                                  elapsed=_time.monotonic() - start_time, expansions=expansions)
             for con in branch:
                 aid = con.agent_id
@@ -246,7 +249,7 @@ def plan_cbs(
                      {**paths, aid: path}, {**costs, aid: c})
         raise ValueError("constraint tree exhausted without a solution")
     except CBSTimeout:
-        return CBSResult(paths=None, cost=float("inf"), timed_out=True,
+        return CBSResult(paths=None, cost=float("inf"),
                          elapsed=_time.monotonic() - start_time, expansions=expansions)
 
 

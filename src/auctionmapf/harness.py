@@ -95,6 +95,7 @@ class ExperimentConfig:
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     incentive_min, incentive_max = cfg.incentive_range
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,6 +103,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             if key == "kind":
                 cfg.kinds = tuple(v.strip() for v in value.split(","))

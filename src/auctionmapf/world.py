@@ -14,17 +14,12 @@ from typing import Optional, Sequence
 
 Cell = tuple[int, int]
 
-DIRECTIONS: dict[str, Cell] = {
-    "up": (-1, 0),
-    "down": (1, 0),
-    "left": (0, -1),
-    "right": (0, 1),
-    "wait": (0, 0),
-}
-
-# the four non-wait moves as (name, dr, dc); every neighbour walk reads this
-MOVES: tuple[tuple[str, int, int], ...] = tuple(
-    (name, dr, dc) for name, (dr, dc) in DIRECTIONS.items() if name != "wait"
+# the four moves as (name, dr, dc); every neighbour walk reads this
+MOVES: tuple[tuple[str, int, int], ...] = (
+    ("up", -1, 0),
+    ("down", 1, 0),
+    ("left", 0, -1),
+    ("right", 0, 1),
 )
 
 SCENARIO_KINDS = ("doorway", "hallway", "intersection", "random-obstacles")
@@ -95,24 +90,6 @@ class CellIds:
         return flat + [ring] * self.stride
 
 
-@dataclass(frozen=True)
-class MoveAction:
-    direction: str
-    step: int
-
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.direction == "wait":
-            if self.step != 0:
-                raise ValueError("wait must have step 0")
-        elif self.step < 1:
-            raise ValueError("non-wait moves need step >= 1")
-
-
-WAIT = MoveAction("wait", 0)
-
-
 @dataclass
 class AgentState:
     id: int
@@ -155,13 +132,6 @@ class Scenario:
                 fields.append(field)
             if field[a.pos[0]][a.pos[1]] == UNREACHABLE:
                 raise ScenarioError(f"agent {a.id} goal unreachable from start")
-
-
-def sweep_cells(pos: Cell, action: MoveAction) -> list[Cell]:
-    """Cells covered by a move this tick, start cell included."""
-    dr, dc = DIRECTIONS[action.direction]
-    r, c = pos
-    return [(r + dr * k, c + dc * k) for k in range(action.step + 1)]
 
 
 def distances(grid: GridWorld, source: Cell) -> list[list[int]]:
@@ -333,23 +303,6 @@ def grid_to_ascii(grid: GridWorld) -> str:
     for r in range(grid.height):
         rows.append("".join("#" if (r, c) in grid.obstacles else "." for c in range(grid.width)))
     return "\n".join(rows)
-
-
-def grid_from_ascii(text: str) -> GridWorld:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ScenarioError("empty ASCII map")
-    width = len(lines[0])
-    if any(len(line) != width for line in lines):
-        raise ScenarioError("ragged ASCII map")
-    obstacles = set()
-    for r, line in enumerate(lines):
-        for c, ch in enumerate(line):
-            if ch == "#":
-                obstacles.add((r, c))
-            elif ch != ".":
-                raise ScenarioError(f"unknown map character {ch!r}")
-    return GridWorld(width, len(lines), frozenset(obstacles))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -26,10 +26,8 @@ from auctionmapf.planner import run_trial
 from auctionmapf.world import (
     AgentState,
     GridWorld,
-    MoveAction,
     Scenario,
     make_scenario,
-    sweep_cells,
 )
 
 from helpers import joint_soc_oracle, payment, sweep_collisions
@@ -176,8 +174,8 @@ def test_criterion_06_crossing_micro_scenario():
     colliding = 0
     for tau_a in (1, 2, 3):
         for tau_b in (1, 2, 3):
-            sweep_a = set(sweep_cells((2, 0), MoveAction("right", tau_a)))
-            sweep_b = set(sweep_cells((0, 2), MoveAction("down", tau_b)))
+            sweep_a = {(2, c) for c in range(tau_a + 1)}
+            sweep_b = {(r, 2) for r in range(tau_b + 1)}
             if sweep_a & sweep_b:
                 colliding += 1
     assert colliding == 4

@@ -24,6 +24,7 @@ from auctionmapf.harness import (
     trial_seed,
 )
 from auctionmapf.metrics import TRIALS_COLUMNS
+from auctionmapf.world import grid_to_ascii, scenario_from_json
 
 
 SMALL_CONFIG = """
@@ -102,6 +103,9 @@ def test_parse_config_errors():
         parse_config("sweep = gap_size")  # sweeping without values
     with pytest.raises(ConfigError):
         parse_config("jobs = 0")
+    # a repeated key would silently override the earlier line
+    with pytest.raises(ConfigError, match="line 3: 'solvers' repeats line 1"):
+        parse_config("solvers = auction\ntrials = 2\nsolvers = cbs\n")
     for line in BAD_CBS_LINES:
         with pytest.raises(ConfigError):
             parse_config(line)
@@ -143,7 +147,7 @@ def test_run_one_trial_planner_and_cbs(monkeypatch):
     assert rec.solver == "cbs"
     assert rec.completed
     # a CBS timeout yields no plan; the row scores it as nobody arriving
-    timed_out = CBSResult(paths=None, cost=math.inf, elapsed=20.0, timed_out=True, expansions=0)
+    timed_out = CBSResult(paths=None, cost=math.inf, elapsed=20.0, expansions=0)
     monkeypatch.setattr(harness.cbs_mod, "run_cbs_trial", lambda *a, **k: (None, timed_out))
     # runtime_s is the solver call on the harness clock, not CBSResult.elapsed
     clock = iter([100.0, 100.5])
@@ -279,10 +283,16 @@ def test_cli_auction_demo_bad_bids(capsys):
 
 
 def test_cli_scenario_show(capsys):
-    assert cli(["scenario", "show", "doorway", "--gap", "1"]) == EXIT_OK
-    out = capsys.readouterr().out
-    wall_rows = [line for line in out.splitlines() if "#" in line]
-    assert len(wall_rows) == 9  # 10 rows minus the one-cell gap
+    flags = ["doorway", "--gap", "1", "--agents", "3", "--seed", "5"]
+    assert cli(["scenario", "gen", *flags]) == EXIT_OK
+    scenario = scenario_from_json(capsys.readouterr().out)
+    assert cli(["scenario", "show", *flags]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    ascii_rows = grid_to_ascii(scenario.grid).splitlines()
+    assert len([row for row in ascii_rows if "#" in row]) == 9  # 10 rows minus the one-cell gap
+    assert lines[:len(ascii_rows)] == ascii_rows
+    agent_lines = lines[len(ascii_rows):]
+    assert [line.split(":")[0] for line in agent_lines] == [f"agent {i}" for i in range(3)]
 
 
 def test_cli_scenario_gen_emits_json(capsys):

@@ -25,15 +25,14 @@ from auctionmapf.planner import (
 )
 from auctionmapf.potential import build_potential_map, build_potential_maps
 from auctionmapf.world import (
+    MOVES,
     AgentState,
     CellIds,
     GridWorld,
-    MoveAction,
     SCENARIO_KINDS,
     Scenario,
     ScenarioError,
     make_scenario,
-    sweep_cells,
 )
 
 from helpers import (
@@ -58,19 +57,18 @@ def _field(ids, grid, goal):
 
 
 def _action(ids, move):
-    """The MoveAction a planner move (direction, id offset, step) encodes;
-    its offset must be its direction's."""
-    direction, d, step = move
-    assert d == dict(ids.moves).get(direction, 0)
-    return MoveAction(direction, step)
+    """The (direction, step) a planner move (direction, id offset, step)
+    encodes; its offset must be its direction's."""
+    assert move[1] == dict(ids.moves).get(move[0], 0)
+    return (move[0], move[2])
 
 
 def _to_ids(ids, proposals):
-    """{agent id: (cell, MoveAction)} as the planner's id proposals."""
+    """{agent id: (cell, (direction, step))} as the planner's id proposals."""
     offsets = dict(ids.moves)
     return {
-        aid: (ids.id(pos), (m.direction, offsets.get(m.direction, 0), m.step))
-        for aid, (pos, m) in proposals.items()
+        aid: (ids.id(pos), (direction, offsets.get(direction, 0), step))
+        for aid, (pos, (direction, step)) in proposals.items()
     }
 
 
@@ -83,27 +81,27 @@ def _propose(grid, agent, occupied=()):
 
 def test_propose_move_unobstructed_full_step():
     agent = _agent(0, (5, 0), (5, 9), incentive=3)
-    assert _propose(GridWorld(10, 10), agent) == MoveAction("right", 3)
+    assert _propose(GridWorld(10, 10), agent) == ("right", 3)
 
 
 def test_propose_move_never_overshoots_goal():
     agent = _agent(0, (5, 4), (5, 5), incentive=3)
-    assert _propose(GridWorld(10, 10), agent) == MoveAction("right", 1)
+    assert _propose(GridWorld(10, 10), agent) == ("right", 1)
 
 
 def test_propose_move_waits_when_only_descent_blocked():
     agent = _agent(0, (0, 0), (0, 4), incentive=2)
-    assert _propose(GridWorld(5, 1), agent, {(0, 1)}) == MoveAction("wait", 0)
+    assert _propose(GridWorld(5, 1), agent, {(0, 1)}) == ("wait", 0)
 
 
 def test_propose_move_prefers_axis_with_more_remaining_distance():
     agent = _agent(0, (0, 0), (2, 3), incentive=5)
-    assert _propose(GridWorld(10, 10), agent) == MoveAction("right", 3)
+    assert _propose(GridWorld(10, 10), agent) == ("right", 3)
 
 
 def test_propose_move_row_before_column_on_exact_tie():
     agent = _agent(0, (0, 0), (2, 2), incentive=5)
-    assert _propose(GridWorld(10, 10), agent) == MoveAction("down", 2)
+    assert _propose(GridWorld(10, 10), agent) == ("down", 2)
 
 
 @pytest.mark.parametrize("width, height", [(1, 5), (5, 1), (6, 3)])
@@ -114,6 +112,7 @@ def test_corner_moves_stay_on_the_grid(width, height):
     grid = GridWorld(width, height)
     ids = CellIds(grid)
     corners = {(0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1)}
+    deltas = {name: (dr, dc) for name, dr, dc in MOVES}
     for corner in corners:
         pos = ids.id(corner)
         for goal in grid.free_cells():
@@ -121,8 +120,10 @@ def test_corner_moves_stay_on_the_grid(width, height):
             agent = _agent(0, corner, goal, incentive=width + height)
             for move in (propose_move(ids, field, agent, pos, set()),
                          escape_move(ids, field, pos, set(), [])):
-                cells = [ids.cells[pos + move[1] * k] for k in range(move[2] + 1)]
-                assert cells == sweep_cells(corner, _action(ids, move))
+                direction, step = _action(ids, move)
+                dr, dc = deltas.get(direction, (0, 0))
+                cells = [ids.cells[pos + move[1] * k] for k in range(step + 1)]
+                assert cells == [(corner[0] + dr * k, corner[1] + dc * k) for k in range(step + 1)]
                 assert all(grid.is_free(cell) for cell in cells)
             neighbours = {ids.id(cell) for cell in grid.neighbors(corner)}
             assert escape_move(ids, field, pos, neighbours, []) == WAIT
@@ -143,9 +144,9 @@ _IDS = CellIds(GridWorld(6, 5))
 
 def test_detect_conflicts_shared_target():
     proposals = {
-        0: ((2, 1), MoveAction("right", 1)),
-        1: ((1, 2), MoveAction("down", 1)),
-        2: ((2, 2), MoveAction("wait", 0)),   # waits on the cell both sweep
+        0: ((2, 1), ("right", 1)),
+        1: ((1, 2), ("down", 1)),
+        2: ((2, 2), ("wait", 0)),  # waits on the cell both sweep
     }
     conflicts = detect_conflicts(mover_index(_to_ids(_IDS, proposals)))
     assert len(conflicts) == 1
@@ -155,8 +156,8 @@ def test_detect_conflicts_shared_target():
 
 def test_detect_conflicts_overlapping_sweeps():
     proposals = {
-        0: ((2, 1), MoveAction("right", 3)),  # sweeps (2,1)..(2,4)
-        1: ((2, 5), MoveAction("left", 2)),   # sweeps (2,5)..(2,3)
+        0: ((2, 1), ("right", 3)),  # sweeps (2,1)..(2,4)
+        1: ((2, 5), ("left", 2)),   # sweeps (2,5)..(2,3)
     }
     conflicts = detect_conflicts(mover_index(_to_ids(_IDS, proposals)))
     assert len(conflicts) == 1
@@ -166,17 +167,17 @@ def test_detect_conflicts_overlapping_sweeps():
 
 def test_detect_conflicts_disjoint_sweeps():
     proposals = {
-        0: ((0, 0), MoveAction("right", 2)),
-        1: ((4, 0), MoveAction("right", 2)),
+        0: ((0, 0), ("right", 2)),
+        1: ((4, 0), ("right", 2)),
     }
     assert detect_conflicts(mover_index(_to_ids(_IDS, proposals))) == []
 
 
 def test_detect_conflicts_merges_transitively():
     proposals = {
-        0: ((0, 0), MoveAction("right", 2)),  # (0,0)..(0,2)
-        1: ((0, 4), MoveAction("left", 2)),   # (0,4)..(0,2)
-        2: ((1, 4), MoveAction("up", 1)),     # (1,4),(0,4)
+        0: ((0, 0), ("right", 2)),  # (0,0)..(0,2)
+        1: ((0, 4), ("left", 2)),   # (0,4)..(0,2)
+        2: ((1, 4), ("up", 1)),     # (1,4),(0,4)
     }
     conflicts = detect_conflicts(mover_index(_to_ids(_IDS, proposals)))
     assert len(conflicts) == 1
@@ -197,7 +198,7 @@ def test_detect_conflicts_are_the_components_of_shared_cells(sweeps):
     grouping never looks at, so ids come from a 12x12 grid shifted by 3."""
     ids = CellIds(GridWorld(12, 12))
     proposals = _to_ids(ids, {
-        aid: ((r + 3, c + 3), MoveAction(direction, step))
+        aid: ((r + 3, c + 3), (direction, step))
         for aid, ((r, c), direction, step) in sweeps.items()
     })
     conflicts = detect_conflicts(mover_index(proposals))
@@ -226,12 +227,12 @@ def test_try_reassign_moves_agent_with_equal_alternative():
     a = _agent(0, (1, 1), (2, 2), 1)
     b = _agent(1, (2, 0), (2, 2), 1)
     proposals = {
-        0: ((1, 1), MoveAction("down", 1)),   # to (2,1)
-        1: ((2, 0), MoveAction("right", 1)),  # to (2,1)
+        0: ((1, 1), ("down", 1)),   # to (2,1)
+        1: ((2, 0), ("right", 1)),  # to (2,1)
     }
     residual, proposals, movers = _reassign(grid, [a, b], proposals)
     assert residual.contenders == {1}
-    assert proposals[0] == ((1, 1), MoveAction("right", 1))  # rerouted via (1,2)
+    assert proposals[0] == ((1, 1), ("right", 1))  # rerouted via (1,2)
     assert movers[(1, 2)] == {0} and movers[(2, 1)] == {1}  # index kept in step
 
 
@@ -241,9 +242,9 @@ def test_try_reassign_three_contenders_one_reassignable():
     b = _agent(1, (2, 0), (2, 2), 1)
     c = _agent(2, (3, 1), (1, 1), 1)
     proposals = {
-        0: ((1, 1), MoveAction("down", 1)),
-        1: ((2, 0), MoveAction("right", 1)),
-        2: ((3, 1), MoveAction("up", 1)),
+        0: ((1, 1), ("down", 1)),
+        1: ((2, 0), ("right", 1)),
+        2: ((3, 1), ("up", 1)),
     }
     residual, _, _ = _reassign(grid, [a, b, c], proposals)
     assert residual.contenders == {1, 2}
@@ -259,8 +260,8 @@ def test_try_reassign_no_alternative_in_narrow_gap():
     a = _agent(0, (gap[0], 4), (gap[0], 6), 1)
     b = _agent(1, (gap[0], 6), (gap[0], 4), 1)
     proposals = {
-        0: (a.pos, MoveAction("right", 1)),
-        1: (b.pos, MoveAction("left", 1)),
+        0: (a.pos, ("right", 1)),
+        1: (b.pos, ("left", 1)),
     }
     residual, _, _ = _reassign(grid, [a, b], proposals)
     assert residual.contenders == {0, 1}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from auctionmapf.potential import UNREACHABLE, build_potential_map, build_potential_maps
-from auctionmapf.world import GridWorld, grid_from_ascii
+from auctionmapf.world import GridWorld
 
 from helpers import dijkstra_distance_field
 
@@ -15,19 +15,19 @@ def test_empty_grid_is_manhattan_distance():
 
 
 def test_wall_forces_detour():
-    grid = grid_from_ascii(".#.\n.#.\n...")
+    grid = GridWorld(3, 3, frozenset({(0, 1), (1, 1)}))
     pot = build_potential_map(grid, (1, 2))
     assert pot[(1, 0)] == 4
 
 
 def test_goal_on_obstacle_rejected():
-    grid = grid_from_ascii(".#.\n...\n...")
+    grid = GridWorld(3, 3, frozenset({(0, 1)}))
     with pytest.raises(ValueError):
         build_potential_map(grid, (0, 1))
 
 
 def test_obstacles_and_unreachable_cells_marked():
-    grid = grid_from_ascii("..#.\n..#.\n..#.\n..#.")
+    grid = GridWorld(4, 4, frozenset({(0, 2), (1, 2), (2, 2), (3, 2)}))
     pot = build_potential_map(grid, (0, 0))
     assert pot[(0, 2)] == UNREACHABLE  # obstacle
     assert pot[(0, 3)] == UNREACHABLE  # cut off behind the wall

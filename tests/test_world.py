@@ -10,31 +10,17 @@ from auctionmapf.world import (
     AgentState,
     CellIds,
     GridWorld,
-    MoveAction,
     Scenario,
     ScenarioError,
     UNREACHABLE,
-    WAIT,
     distances,
-    grid_from_ascii,
     grid_to_ascii,
     make_scenario,
     scenario_from_dict,
     scenario_from_json,
     scenario_to_dict,
     scenario_to_json,
-    sweep_cells,
 )
-
-
-def test_inverse_action_round_trip():
-    inverse = {"up": "down", "down": "up", "left": "right", "right": "left"}
-    for direction, opposite in inverse.items():
-        for step in (1, 2, 3):
-            there = sweep_cells((4, 4), MoveAction(direction, step))[-1]
-            back = sweep_cells(there, MoveAction(opposite, step))
-            assert back[-1] == (4, 4)
-            assert back[::-1] == sweep_cells((4, 4), MoveAction(direction, step))
 
 
 @pytest.mark.parametrize("width, height", [(1, 6), (6, 1), (5, 3), (3, 5)])
@@ -51,6 +37,9 @@ def test_cell_ids_round_trip_in_row_major_order_with_an_unreachable_ring(width, 
         for (name, d), (_, dr, dc) in zip(ids.moves, MOVES):
             nxt = (r + dr, c + dc)
             assert ids.cells[i + d] == (nxt if grid.in_bounds(nxt) else None), name
+    # every move has its inverse among the moves
+    offsets = {d for _, d in ids.moves}
+    assert offsets == {-d for d in offsets}
     ring = [i for i, cell in enumerate(ids.cells) if cell is None]
     assert len(ring) == len(ids.cells) - width * height == 2 * (width + height) + 4
     rows = distances(grid, (0, 0))
@@ -58,20 +47,6 @@ def test_cell_ids_round_trip_in_row_major_order_with_an_unreachable_ring(width, 
     assert len(field) == len(ids.cells)
     assert all(field[i] == UNREACHABLE for i in ring)
     assert [field[i] for i in numbered] == [rows[r][c] for r, c in cells]
-
-
-def test_sweep_cells_includes_start():
-    assert sweep_cells((2, 1), MoveAction("right", 3)) == [(2, 1), (2, 2), (2, 3), (2, 4)]
-    assert sweep_cells((2, 1), WAIT) == [(2, 1)]
-
-
-def test_move_action_validation():
-    with pytest.raises(ValueError):
-        MoveAction("sideways", 1)
-    with pytest.raises(ValueError):
-        MoveAction("wait", 2)
-    with pytest.raises(ValueError):
-        MoveAction("up", 0)
 
 
 def test_agent_state_requires_positive_incentive():
@@ -189,12 +164,12 @@ def test_scenario_validation_rejects_duplicates():
 
 
 def test_scenario_validation_rejects_unreachable_goal():
-    grid = grid_from_ascii(".#.\n.#.\n.#.")
+    grid = GridWorld(3, 3, frozenset({(0, 1), (1, 1), (2, 1)}))
     agents = [AgentState(id=0, pos=(0, 0), goal=(0, 2), incentive=1)]
     with pytest.raises(ScenarioError):
         Scenario(grid=grid, agents=agents, kind="custom").validate()
     # two rooms: trips inside either room pass, a trip between them does not
-    rooms = grid_from_ascii("..#..\n..#..\n..#..")
+    rooms = GridWorld(5, 3, frozenset({(0, 2), (1, 2), (2, 2)}))
     within = [
         AgentState(id=0, pos=(0, 0), goal=(2, 1), incentive=1),
         AgentState(id=1, pos=(0, 4), goal=(2, 3), incentive=1),
@@ -208,17 +183,8 @@ def test_scenario_validation_rejects_unreachable_goal():
 
 
 def test_ascii_round_trip():
-    text = "..#\n#..\n..."
-    grid = grid_from_ascii(text)
-    assert grid.obstacles == frozenset({(0, 2), (1, 0)})
-    assert grid_to_ascii(grid) == text
-
-
-def test_ascii_rejects_bad_input():
-    with pytest.raises(ScenarioError):
-        grid_from_ascii("..\n...")
-    with pytest.raises(ScenarioError):
-        grid_from_ascii("..X\n...")
+    grid = GridWorld(3, 3, frozenset({(0, 2), (1, 0)}))
+    assert grid_to_ascii(grid) == "..#\n#..\n..."
 
 
 def test_json_round_trip():
@@ -305,16 +271,6 @@ _JUNK = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=".#x \n", max_size=40))
-def test_grid_from_ascii_fuzz_raises_only_scenario_error(text):
-    try:
-        grid = grid_from_ascii(text)
-    except ScenarioError:
-        return
-    assert grid_from_ascii(grid_to_ascii(grid)) == grid
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(list(_field_paths(_FUZZ_BASE))), _JUNK)
 def test_scenario_from_dict_fuzz_raises_only_scenario_error(path, value):
@@ -331,7 +287,7 @@ def test_bfs_distance_basics():
     grid = GridWorld(5, 5)
     assert distances(grid, (0, 0))[0][0] == 0
     assert distances(grid, (0, 0))[4][4] == 8
-    walled = grid_from_ascii(".#.\n.#.\n...")
+    walled = GridWorld(3, 3, frozenset({(0, 1), (1, 1)}))
     assert distances(walled, (0, 0))[0][2] == 6
 
 
