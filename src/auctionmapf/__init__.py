@@ -24,8 +24,8 @@ from .planner import (
     run_trial,
     try_reassign,
 )
-from .potential import UNREACHABLE, PotentialMap, build_potential_map, build_potential_maps
 from .world import (
+    UNREACHABLE,
     AgentState,
     GridWorld,
     Scenario,

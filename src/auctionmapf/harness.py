@@ -1,6 +1,7 @@
 """Experiment runner: parameter sweeps over seeded trials, CSV artifacts.
 
-Config files are flat text, one `key = value` per line (# comments allowed).
+Config files are flat text, one `key = value` per line (# comments allowed);
+each key is a field of ExperimentConfig.
 Every trial's seed derives from (base_seed, solver, kind, sweep point, trial
 index) through SHA-256, so runs are reproducible across machines and the
 worker pool; only the runtime_s column varies between runs.
@@ -12,7 +13,7 @@ import concurrent.futures  # lazy: multiprocessing loads only when a pool starts
 import hashlib
 import os
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from math import inf
@@ -40,13 +41,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    kinds: tuple[str, ...] = ("intersection",)
+    kind: tuple[str, ...] = ("intersection",)
     width: int = 10
     height: int = 10
     n_agents: int = 4
     gap_size: int = 3
     n_obstacles: int = 0
-    incentive_range: tuple[int, int] = (1, 3)
+    incentive_min: int = 1
+    incentive_max: int = 3
     sweep: str = "none"
     sweep_values: tuple[int, ...] = ()
     trials: int = 100
@@ -71,30 +73,47 @@ class ExperimentConfig:
             raise ConfigError(f"sweep must be one of {SWEEP_FIELDS}")
         if (self.sweep != "none") != bool(self.sweep_values):
             raise ConfigError("sweep_values must be given exactly when sweeping")
-        if not self.solvers or not self.kinds:
+        if not self.solvers or not self.kind:
             raise ConfigError("solvers and kind must be nonempty")
         for s in self.solvers:
             if s not in ALL_SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
-        for k in self.kinds:
+        for k in self.kind:
             if k not in SCENARIO_KINDS:
                 raise ConfigError(f"unknown scenario kind {k!r}")
             # make_scenario reads n_obstacles only for random-obstacles, gap_size only elsewhere
             if self.sweep in ("gap_size", "n_obstacles") and (
                     (k == "random-obstacles") != (self.sweep == "n_obstacles")):
                 raise ConfigError(f"sweep {self.sweep} does not shape kind {k!r}")
-        for key, values in (("kind", self.kinds), ("solvers", self.solvers),
+        for key, values in (("kind", self.kind), ("solvers", self.solvers),
                             ("sweep_values", self.sweep_values)):
             if len(set(values)) < len(values):  # it would replay the same trials
                 raise ConfigError(f"{key} repeats an entry")
+
+    @property
+    def swept(self) -> str:
+        """The scenario field a sweep point sets."""
+        return "n_agents" if self.sweep == "none" else self.sweep
 
     def sweep_points(self) -> tuple[int, ...]:
         return self.sweep_values or (self.n_agents,)
 
 
+# Each config key is a field; its value is parsed by the field's annotation,
+# a string under `from __future__ import annotations`. A field whose
+# annotation has no parser fails here, at import.
+_PARSE_ANNOTATION = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[str, ...]": lambda value: tuple(v.strip() for v in value.split(",")),
+    "tuple[int, ...]": lambda value: tuple(int(v) for v in value.split(",")),
+}
+_PARSERS = {f.name: _PARSE_ANNOTATION[f.type] for f in fields(ExperimentConfig)}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    incentive_min, incentive_max = cfg.incentive_range
     seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,32 +124,13 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in seen:
             raise ConfigError(f"line {lineno}: {key!r} repeats line {seen[key]}")
+        if key not in _PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         seen[key] = lineno
         try:
-            if key == "kind":
-                cfg.kinds = tuple(v.strip() for v in value.split(","))
-            elif key in ("width", "height", "n_agents", "gap_size", "n_obstacles",
-                         "trials", "base_seed", "jobs"):
-                setattr(cfg, key, int(value))
-            elif key == "incentive_min":
-                incentive_min = int(value)
-            elif key == "incentive_max":
-                incentive_max = int(value)
-            elif key == "sweep":
-                cfg.sweep = value
-            elif key == "sweep_values":
-                cfg.sweep_values = tuple(int(v) for v in value.split(","))
-            elif key == "solvers":
-                cfg.solvers = tuple(v.strip() for v in value.split(","))
-            elif key in ("noise_sigma", "timeout"):
-                setattr(cfg, key, float(value))
-            elif key == "out_dir":
-                cfg.out_dir = value
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            setattr(cfg, key, _PARSERS[key](value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    cfg.incentive_range = (incentive_min, incentive_max)
     cfg.validate()
     return cfg
 
@@ -143,18 +143,13 @@ def trial_seed(base_seed: int, solver: str, kind: str, point: int, index: int) -
 
 
 def build_scenario(cfg: ExperimentConfig, kind: str, point: int, seed: int) -> Scenario:
-    params = {
-        "n_agents": cfg.n_agents,
-        "gap_size": cfg.gap_size,
-        "n_obstacles": cfg.n_obstacles,
-    }
-    if cfg.sweep != "none":
-        params[cfg.sweep] = point
+    params = {"n_agents": cfg.n_agents, "gap_size": cfg.gap_size, "n_obstacles": cfg.n_obstacles}
+    params[cfg.swept] = point
     return make_scenario(
         kind,
         width=cfg.width,
         height=cfg.height,
-        incentive_range=cfg.incentive_range,
+        incentive_range=(cfg.incentive_min, cfg.incentive_max),
         rng_seed=seed,
         **params,
     )
@@ -196,7 +191,7 @@ def run_experiment(
     keys = [
         (solver, kind, point, index)
         for solver in cfg.solvers
-        for kind in cfg.kinds
+        for kind in cfg.kind
         for point in cfg.sweep_points()
         for index in range(cfg.trials)
     ]
@@ -209,8 +204,7 @@ def run_experiment(
     else:
         records = list(map(*map_args))
 
-    group_field = cfg.sweep if cfg.sweep != "none" else "n_agents"
-    group_by = ("solver", "kind", group_field)
+    group_by = ("solver", "kind", cfg.swept)
     aggs = metrics_mod.aggregate(records, group_by)
     (out_dir / "trials.csv").write_text(metrics_mod.trials_csv(records))
     (out_dir / "aggregates.csv").write_text(metrics_mod.aggregates_csv(aggs, group_by))
@@ -228,9 +222,9 @@ def sweep_utility_experiment(
     """
     cfg.validate()
     out_dir = _out_dir(cfg, out_dir)
-    kind = cfg.kinds[0]
+    kind = cfg.kind[0]
     seed = trial_seed(cfg.base_seed, "sweep-utility", kind, cfg.n_agents, 0)
-    scenario = build_scenario(cfg, kind, cfg.n_agents, seed)
+    scenario = build_scenario(cfg, kind, getattr(cfg, cfg.swept), seed)
     bids = [Bid(a.id, Fraction(a.incentive)) for a in scenario.agents]
     grid = [Fraction(i, 2) for i in range(4 * max(a.incentive for a in scenario.agents) + 1)]
     schedule = harmonic_schedule(len(bids))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import potential
 from .auction import AuctionOutcome, Bid, _settle, harmonic_schedule, run_auction
-from .potential import build_potential_maps
 from .world import UNREACHABLE, AgentState, Cell, CellIds, Scenario
 
 # Inside a trial a cell is its `world.CellIds` id and a move is (direction,
@@ -295,9 +295,9 @@ class _Trial:
         self.agents_by_id = {a.id: a for a in agents}
         self.in_id_order = sorted(agents, key=lambda a: a.id)
         self.ids = ids = CellIds(grid)
-        flat = {goal: ids.flat(pot.values)
-                for goal, pot in build_potential_maps(grid, [a.goal for a in agents]).items()}
-        self.fields = {a.id: flat[a.goal] for a in agents}
+        # one flood per agent: Scenario.validate keeps goals distinct
+        self.fields = {a.id: ids.flat(potential.build_potential_map(grid, a.goal).values)
+                       for a in agents}
         self.at = {a.id: ids.id(a.pos) for a in agents}
         self.goal = {a.id: ids.id(a.goal) for a in agents}
         self.arrival = {a.id: 0 if a.pos == a.goal else None for a in agents}

@@ -9,24 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .world import UNREACHABLE, Cell, GridWorld, distances
+from .world import Cell, GridWorld, distances
 
 
 @dataclass(frozen=True)
 class PotentialMap:
-    goal: Cell
-    values: tuple[tuple[int, ...], ...]  # [row][col]; UNREACHABLE for blocked cells
-
-    def __getitem__(self, cell: Cell) -> int:
-        return self.values[cell[0]][cell[1]]
+    values: list[list[int]]  # world.distances rows, [row][col]; UNREACHABLE when blocked
 
 
 def build_potential_map(grid: GridWorld, goal: Cell) -> PotentialMap:
+    # hand-built scenarios reach the planner without Scenario.validate
     if not grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell")
-    return PotentialMap(goal, tuple(map(tuple, distances(grid, goal))))
-
-
-def build_potential_maps(grid: GridWorld, goals: list[Cell]) -> dict[Cell, PotentialMap]:
-    """One map per distinct goal."""
-    return {goal: build_potential_map(grid, goal) for goal in set(goals)}
+    return PotentialMap(distances(grid, goal))

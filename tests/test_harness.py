@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,7 @@ base_seed = 7
 
 def test_parse_config_defaults_and_overrides():
     cfg = parse_config(SMALL_CONFIG)
-    assert cfg.kinds == ("doorway",)
+    assert cfg.kind == ("doorway",)
     assert cfg.width == 8 and cfg.height == 8
     assert cfg.n_agents == 3
     assert cfg.trials == 3
@@ -59,7 +60,7 @@ def test_parse_config_sweep_and_incentives():
     )
     assert cfg.sweep == "n_agents"
     assert cfg.sweep_values == (4, 6, 8)
-    assert cfg.incentive_range == (2, 5)
+    assert (cfg.incentive_min, cfg.incentive_max) == (2, 5)
     assert cfg.noise_sigma == 0.1
     assert cfg.sweep_points() == (4, 6, 8)
 
@@ -116,6 +117,11 @@ def test_parse_config_errors():
     for kind, field in (("random-obstacles", "n_obstacles"), ("doorway, hallway", "gap_size")):
         parse_config(f"kind = {kind}\nsweep = {field}\nsweep_values = 1, 2\n")
 
+
+
+def test_parse_config_unknown_key_names_its_line_once():
+    with pytest.raises(ConfigError, match=r"^line 2: unknown key 'kinds'$"):
+        parse_config("trials = 2\nkinds = doorway\n")
 
 
 def test_trial_seed_is_stable_and_distinct():
@@ -248,6 +254,28 @@ def test_sweep_utility_experiment(tmp_path):
     assert text.splitlines()[0] == "agent_id,true_value,bid,utility"
     agent_ids = {r[0] for r in rows}
     assert agent_ids == {0, 1, 2, 3}
+
+
+def test_sweep_utility_ignores_the_sweep_lines(tmp_path):
+    """sweep-utility plots the configured scenario: a sweep block changes
+    neither its seed nor the field the sweep names."""
+    for base, sweep in (
+        ("kind = doorway\nn_agents = 12\ngap_size = 2\n", "sweep = gap_size\n"),
+        ("kind = random-obstacles\nn_agents = 12\nn_obstacles = 5\n", "sweep = n_obstacles\n"),
+    ):
+        base = "width = 10\nheight = 10\n" + base
+        swept = parse_config(base + sweep + "sweep_values = 1, 2\n")
+        rows = sweep_utility_experiment(parse_config(base), out_dir=str(tmp_path / "plain"))
+        assert sweep_utility_experiment(swept, out_dir=str(tmp_path / "swept")) == rows
+        assert {r[0] for r in rows} == set(range(12))
+
+
+def test_readme_config_example_matches_experiment_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config(example)
+    keys = {line.split("=", 1)[0].strip() for line in example.splitlines() if "=" in line}
+    assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_cli_auction_demo(capsys):
@@ -466,6 +494,6 @@ def test_config_validation_direct():
     with pytest.raises(ConfigError):
         cfg.validate()
     # an empty solver or kind list would leave run_experiment no trial to map
-    for cfg in (ExperimentConfig(solvers=()), ExperimentConfig(kinds=())):
+    for cfg in (ExperimentConfig(solvers=()), ExperimentConfig(kind=())):
         with pytest.raises(ConfigError):
             cfg.validate()

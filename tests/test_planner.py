@@ -23,7 +23,7 @@ from auctionmapf.planner import (
     run_trial,
     try_reassign,
 )
-from auctionmapf.potential import build_potential_map, build_potential_maps
+from auctionmapf.potential import build_potential_map
 from auctionmapf.world import (
     MOVES,
     AgentState,
@@ -32,6 +32,7 @@ from auctionmapf.world import (
     SCENARIO_KINDS,
     Scenario,
     ScenarioError,
+    distances,
     make_scenario,
 )
 
@@ -308,13 +309,12 @@ def test_agent_starting_on_goal():
 def test_moving_agent_potential_strictly_decreases():
     scenario = _fig1_scenario()
     trace = run_trial(scenario)
-    potentials = build_potential_maps(scenario.grid, [a.goal for a in scenario.agents])
-    goals = {a.id: a.goal for a in scenario.agents}
-    last = {a.id: potentials[a.goal][a.pos] for a in scenario.agents}
+    fields = {a.id: distances(scenario.grid, a.goal) for a in scenario.agents}
+    last = {a.id: fields[a.id][a.pos[0]][a.pos[1]] for a in scenario.agents}
     for ln in trace.lines:
         if ln.waiting:
             continue
-        value = potentials[goals[ln.agent_id]][(ln.row, ln.col)]
+        value = fields[ln.agent_id][ln.row][ln.col]
         assert value < last[ln.agent_id]
         last[ln.agent_id] = value
 

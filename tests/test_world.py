@@ -154,13 +154,27 @@ def test_generated_scenarios_match_pinned_digest():
 
 
 def test_scenario_validation_rejects_duplicates():
-    grid = GridWorld(5, 5)
-    agents = [
-        AgentState(id=0, pos=(0, 0), goal=(4, 4), incentive=1),
-        AgentState(id=1, pos=(0, 0), goal=(3, 3), incentive=1),
-    ]
-    with pytest.raises(ScenarioError):
-        Scenario(grid=grid, agents=agents, kind="custom").validate()
+    """Agent 1's (start, goal) pairs next to agent 0's (0, 0) -> (4, 4), each
+    broken one way, on a grid with one obstacle at (2, 2)."""
+    grid = GridWorld(5, 5, frozenset({(2, 2)}))
+    for pos, goal, message in (
+        ((0, 0), (3, 3), "duplicate start cells"),
+        ((1, 0), (4, 4), "duplicate goal cells"),
+        ((2, 2), (3, 3), "agent 1 start/goal on obstacle"),  # start on the obstacle
+        ((1, 0), (2, 2), "agent 1 start/goal on obstacle"),  # goal on the obstacle
+        ((1, 0), (5, 0), "agent 1 start/goal on obstacle or outside grid"),  # goal off the grid
+        ((1, 0), (3, 3), None),
+    ):
+        agents = [
+            AgentState(id=0, pos=(0, 0), goal=(4, 4), incentive=1),
+            AgentState(id=1, pos=pos, goal=goal, incentive=1),
+        ]
+        scenario = Scenario(grid=grid, agents=agents, kind="custom")
+        if message is None:
+            scenario.validate()
+            continue
+        with pytest.raises(ScenarioError, match=message):
+            scenario.validate()
 
 
 def test_scenario_validation_rejects_unreachable_goal():
