@@ -363,3 +363,87 @@ def test_cbs_plans_match_benchmark_reference_digests(monkeypatch):
         if trace is None or cbs_digest(trace, result) != reference[key]["digest"]:
             mismatched.append(key)
     assert mismatched == []
+
+
+# `checks.cbs_digest` of the first eight plans that branch, among seeds 0-79 of
+# two 11x11 intersection cells (3 agents at gap 9, 4 agents at gap 3), keyed
+# (variant, sigma, agents, gap), recorded at 91070f5, before CBS searched cell
+# ids. At sigma 0 equal-f ties are everywhere, so these pin both tie-breaks:
+# the low-level A*'s first-come counter and cbs-random's draw per CT node.
+PINNED_CBS_DIGESTS = {
+    ("cbs-random", 0.3, 3, 9): {
+        3: "e328d3a0d94327cdcb0e0ffa69e069eb59fe480d0a52c22b995059189a7c9a50",
+        9: "8d2544936558a4a42569950cab8f14f19fab6c635cf275ae30f9bff6cef0848c",
+        11: "d363cdc7b44404ebf18e2867edd14d76bfc20080c4e751ee1d1182afcaef7db3",
+        14: "3f8378e9108d02a698808f3523d6c7b0e06ecc75c5aa1dcf03826ddfeed1158d",
+        15: "75bc128efe1aa670d0c77b60df5cb21e4fec6a42398fd9c2a986958b480a5365",
+        17: "bbe5df88a49e8d646993c119b0bca934fa3621615351c361993ebcde002f162d",
+        19: "374f0eb533f3fd17be711d98eb3886db29abddb8d93c59fa98dd6cd0eb6dcdb1",
+        22: "e5951ab88f2959f6a341ebfd0f152eb0b8cc881b6678256bfc0a19eb7e8943b2",
+    },
+    ("cbs-random", 0.3, 4, 3): {
+        0: "aeeac1a07a626844d014cdb251e6f1de24fcfdded2b4f26835a0666d1e5a93fe",
+        1: "d94fef1d098e4a47f8a689e58c31db11bfa477cc03e023b3ec95644363d7832f",
+        4: "034f5aa3bea659498a15789bba6b5a4cb9a22a85f18f46e15cd73fa94bedb822",
+        5: "be268a7e1fcd09de2295c7bf4234c6e98cd5d5a24e8a76225881cd28ea029d50",
+        6: "673f604ac0ef0bad81d37a936cccac9e02efd09055efeb2b18ab07a65c0f01ec",
+        8: "f9976aa980d26fdf2269c7b1d1196829bec8750d0ffc13b956b0f0ac59bf30ef",
+        10: "a1c817c20f9f7909b7ed59fa71d831afad789c8378c3c66956eef15fa4a47b6a",
+        11: "687e1d9d17ba421af7d8f14fcd673cfe9e56b17259022385afcd6427b5051f41",
+    },
+    ("cbs", 0.0, 3, 9): {
+        10: "eaa4b7453df23857f2111762157f05add08bcf9de199df356c5db20baca2576c",
+        11: "38cd3718b10fd8a9ef8f0f696495f4142fea84b136b06760148d29abd302a211",
+        15: "8a2afc508b4d8fe8aa4fbb9941dafdbefdbd157d584768c2b5ad6b4c11a1f516",
+        49: "da1f091c52e3c5e1b8375f72cfac136fa01a67ef5a006ae9c20eba9a4b36c5ff",
+        50: "122ddc01f1f805fdd659ce77795e17b08e1ff6097a56245b00911927d360c940",
+        58: "f21501f52a8c9ff4671a6ae1208b908cf4500f574186f92d29f66918f2080745",
+        63: "73d16da46b5b94cb3c664ea074af417ec119a87f3347d45c0b7bc9a4810c1791",
+        70: "4e454a76c55653ae00be6f8bde3f93e30b3b0ed872e6f56654c3a46effceba36",
+    },
+    ("cbs", 0.0, 4, 3): {
+        0: "062c2f0380a58695c9c3b1d8ef5bfc12af53da1748c03d0b22888d8ae5d4a6b2",
+        6: "f83a8a91833d75ac7810aaf27dc5691c5dcff4fe366ab3a40a26362dbf420267",
+        7: "d5f812f7c24de98c1c8115fdb66677e249be3fd7843492d009b61c70eaae399e",
+        10: "a1c817c20f9f7909b7ed59fa71d831afad789c8378c3c66956eef15fa4a47b6a",
+        11: "3e4f0888e0a00994b781dc6d6fff1af054a6a0dc1b7848b2b0e13cfbcce61630",
+        13: "1df90f87bc42bf3428c8dd0dcc114806e6db1986366a8022d10943df40d6048a",
+        15: "989671c00c01cce6a7401eaac115dee1d5569a60ffd1de40ee7b8a54cac1726d",
+        19: "9abf3bcc6e69895df077663ce4b8fa76266d067d3c0cb6d1d707c370a2f0f850",
+    },
+    ("cbs-random", 0.0, 3, 9): {
+        10: "eaa4b7453df23857f2111762157f05add08bcf9de199df356c5db20baca2576c",
+        11: "27b8ccf8f899193e8c908adbc266568bf912b3764b7537a483ba8a9422d8527c",
+        15: "59a2a4825b65eacf9300525bd426e63171db09583a5c4cd252b51cd74c32cb6d",
+        49: "4f95b2148db249c83d6d985e90dc293343e1b9dba61b0980bba9d7066ecaf248",
+        50: "a5c175ae4932d7409ebc765c37cf0558e4a31c469b8689f9ec3d06181a391b4f",
+        58: "f21501f52a8c9ff4671a6ae1208b908cf4500f574186f92d29f66918f2080745",
+        63: "73d16da46b5b94cb3c664ea074af417ec119a87f3347d45c0b7bc9a4810c1791",
+        70: "4e454a76c55653ae00be6f8bde3f93e30b3b0ed872e6f56654c3a46effceba36",
+    },
+    ("cbs-random", 0.0, 4, 3): {
+        0: "062c2f0380a58695c9c3b1d8ef5bfc12af53da1748c03d0b22888d8ae5d4a6b2",
+        6: "73e6de40f6daa01ba4ce3b5858fd3a7834e832b4841ddb52ba720a72de825192",
+        7: "d5f812f7c24de98c1c8115fdb66677e249be3fd7843492d009b61c70eaae399e",
+        10: "a1c817c20f9f7909b7ed59fa71d831afad789c8378c3c66956eef15fa4a47b6a",
+        11: "3e4f0888e0a00994b781dc6d6fff1af054a6a0dc1b7848b2b0e13cfbcce61630",
+        13: "1df90f87bc42bf3428c8dd0dcc114806e6db1986366a8022d10943df40d6048a",
+        15: "345936f5cde84a7302640b1f7a996e51ff30cd57040ad00836ad92dc363c6b36",
+        19: "bd4b9d3346ce201d6c34efe4af0954a6e56ce78c2fc789545c0e9aec78b9374f",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_CBS_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_cbs_plans_match_pinned_digests(cell, monkeypatch):
+    """Plans no reference digest covers: cbs-random, and both variants
+    without noise. Each plan branches and takes well under a second."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from checks import cbs_digest
+
+    variant, sigma, n, gap = cell
+    for seed, digest in PINNED_CBS_DIGESTS[cell].items():
+        scenario = make_scenario("intersection", 11, 11, n, gap_size=gap, rng_seed=seed)
+        trace, result = run_cbs_trial(scenario, noise_sigma=sigma, variant=variant)
+        assert result.expansions > 1
+        assert cbs_digest(trace, result) == digest, seed
