@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .planner import SimulationTrace, TraceLine
-from .world import Cell, GridWorld, Scenario
+from .world import Cell, CellIds, GridWorld, Scenario
 
 EDGE_WEIGHT_FLOOR = 0.01
 DEFAULT_TIMEOUT = 20.0
@@ -58,68 +58,79 @@ class CBSTimeout(Exception):
     pass
 
 
-Moves = dict[Cell, tuple[tuple[Cell, float], ...]]
+Moves = list[tuple[tuple[int, float], ...]]
 
 
-def _move_table(grid: GridWorld, sigma: float, rng: random.Random) -> Moves:
-    """Each free cell's moves as (next cell, cost): the wait first, then the
-    grid neighbours in `GridWorld.neighbors` order. Built once per plan.
+def _move_table(grid: GridWorld, ids: CellIds, sigma: float, rng: random.Random) -> Moves:
+    """Each padded id's moves as (next id, cost): the wait first, then the
+    grid neighbours in `GridWorld.neighbors` order; `()` on the ring and on
+    obstacles. Built once per plan.
 
     Each undirected edge's weight is drawn once, fixed for the whole trial,
     by its upper or left end: cells row-major, each drawing down then right.
     """
-    moves: Moves = {}
+    moves: Moves = [()] * len(ids.cells)
     for cell in grid.free_cells():
-        row = [(cell, 1.0)]
+        i = ids.id(cell)
+        row = [(i, 1.0)]
         for nxt in grid.neighbors(cell):
-            if nxt > cell:
+            j = ids.id(nxt)
+            if j > i:
                 noise = rng.gauss(0.0, sigma) if sigma > 0 else 0.0
                 w = max(EDGE_WEIGHT_FLOOR, 1.0 + noise)
             else:  # drawn by `nxt`, earlier in row-major order
-                w = next(cost for back, cost in moves[nxt] if back == cell)
-            row.append((nxt, w))
-        moves[cell] = tuple(row)
+                w = next(cost for back, cost in moves[j] if back == i)
+            row.append((j, w))
+        moves[i] = tuple(row)
     return moves
+
+
+def _heuristic(ids: CellIds, goal: Cell, min_w: float) -> list[float]:
+    """Manhattan distance to `goal` times `min_w` by padded id, the cheapest
+    edge weight, so it never overestimates the remaining cost. Built once per
+    goal per plan."""
+    gr, gc = goal
+    return [(abs(cell[0] - gr) + abs(cell[1] - gc)) * min_w if cell else 0.0 for cell in ids.cells]
 
 
 def _low_level(
     grid: GridWorld,
+    ids: CellIds,
     start: Cell,
     goal: Cell,
     constraints: frozenset[Constraint],
     moves: Moves,
-    min_w: float,
+    h: list[float],
     deadline: float,
 ) -> Optional[tuple[list[Cell], float]]:
-    """Space-time A* honoring vertex and edge constraints for one agent.
-
-    `min_w` is the cheapest edge weight, so Manhattan distance times `min_w`
-    never overestimates the remaining cost. Raises `CBSTimeout` once
-    `time.monotonic()` passes `deadline`, checked before every pop.
+    """Space-time A* honoring vertex and edge constraints for one agent, over
+    states `id + n * tick` with `h` the goal's heuristic. Raises `CBSTimeout`
+    once `time.monotonic()` passes `deadline`, checked before every pop.
     """
-    # forbidden next cells, looked up once per pop: vertex constraints by
-    # arrival tick, edge constraints by (cell moved from, departure tick)
-    vertex_at: dict[int, set[Cell]] = {}
-    edge_at: dict[tuple[Cell, int], set[Cell]] = {}
+    n = len(moves)
+    # forbidden next ids, looked up once per pop: vertex constraints by
+    # arrival tick, edge constraints by the state moved from
+    vertex_at: dict[int, set[int]] = {}
+    edge_at: dict[int, set[int]] = {}
     for c in constraints:
         if c.is_edge:
-            edge_at.setdefault((c.cell_from, c.tick), set()).add(c.cell)
+            edge_at.setdefault(ids.id(c.cell_from) + n * c.tick, set()).add(ids.id(c.cell))
         else:
-            vertex_at.setdefault(c.tick, set()).add(c.cell)
+            vertex_at.setdefault(c.tick, set()).add(ids.id(c.cell))
     last_con = max((c.tick for c in constraints), default=-1)
+    target = ids.id(goal)
     # resting at the goal is only legal after the last vertex constraint there
-    last_goal_con = max((t for t, cells in vertex_at.items() if goal in cells), default=-1)
+    last_goal_con = max((t for t, at in vertex_at.items() if target in at), default=-1)
     horizon = grid.width * grid.height + last_con + 1
-    gr, gc = goal
     heappush, heappop, monotonic = heapq.heappush, heapq.heappop, _time.monotonic
     inf = float("inf")
-    no_cells: frozenset[Cell] = frozenset()
+    no_ids: frozenset[int] = frozenset()
     counter = itertools.count()
 
-    root = (start, 0)
-    open_heap = [((abs(start[0] - gr) + abs(start[1] - gc)) * min_w, 0.0, next(counter), root)]
-    best: dict[tuple[Cell, int], float] = {root: 0.0}
-    parents: dict[tuple[Cell, int], Optional[tuple[Cell, int]]] = {root: None}
+    root = ids.id(start)
+    open_heap = [(h[root], 0.0, next(counter), root)]
+    best: dict[int, float] = {root: 0.0}
+    parents: dict[int, Optional[int]] = {root: None}
 
     while open_heap:
         if monotonic() > deadline:
@@ -127,33 +138,30 @@ def _low_level(
         _, g, _, state = heappop(open_heap)
         if g > best[state]:
             continue
-        cell, t = state
-        if cell == goal and t > last_goal_con:
+        t, i = divmod(state, n)
+        if i == target and t > last_goal_con:
             path = []
             key = state
             while key is not None:
-                path.append(key[0])
+                path.append(ids.cells[key % n])
                 key = parents[key]
             path.reverse()
             return path, g
         if t >= horizon:
             continue
-        t1 = t + 1
-        banned = vertex_at.get(t1, no_cells)
+        base = n * (t + 1)
+        banned = vertex_at.get(t + 1, no_ids)
         if state in edge_at:
             banned = banned | edge_at[state]
-        for nxt, w in moves[cell]:
-            if nxt in banned:
+        for j, w in moves[i]:
+            if j in banned:
                 continue
             ng = g + w
-            key = (nxt, t1)
+            key = j + base
             if ng < best.get(key, inf) - 1e-12:
                 best[key] = ng
                 parents[key] = state
-                heappush(
-                    open_heap,
-                    (ng + (abs(nxt[0] - gr) + abs(nxt[1] - gc)) * min_w, ng, next(counter), key),
-                )
+                heappush(open_heap, (ng + h[j], ng, next(counter), key))
     return None
 
 
@@ -201,11 +209,17 @@ def plan_cbs(
     rng = random.Random(f"{scenario.seed}:{variant}")
     weights_rng = random.Random(f"{scenario.seed}:weights:{noise_sigma}")
     grid = scenario.grid
-    moves = _move_table(grid, noise_sigma, weights_rng)
-    min_w = min((w for row in moves.values() for _, w in row[1:]), default=1.0)
+    ids = CellIds(grid)
+    moves = _move_table(grid, ids, noise_sigma, weights_rng)
+    min_w = min((w for row in moves for _, w in row[1:]), default=1.0)
     agents = {a.id: a for a in scenario.agents}
+    h = {a.goal: _heuristic(ids, a.goal, min_w) for a in scenario.agents}
+    # `_low_level` is pure, so each agent's constraint set is searched once;
+    # a non-empty set names its agent
+    planned: dict[frozenset[Constraint], Optional[tuple[list[Cell], float]]] = {}
     start_time = _time.monotonic()
-    # only `_low_level` checks the deadline; every branching expansion calls it
+    # checked before every CT pop and every A* pop: a CT pop whose branches
+    # are all planned already never enters `_low_level`
     deadline = start_time + timeout
     counter = itertools.count()
     expansions = 0
@@ -222,7 +236,7 @@ def plan_cbs(
         costs: dict[int, float] = {}
         cost = 0.0
         for a in scenario.agents:
-            res = _low_level(grid, a.pos, a.goal, frozenset(), moves, min_w, deadline)
+            res = _low_level(grid, ids, a.pos, a.goal, frozenset(), moves, h[a.goal], deadline)
             if res is None:
                 raise ValueError(f"agent {a.id} has no path")
             paths[a.id], costs[a.id] = res
@@ -231,6 +245,8 @@ def plan_cbs(
             cost += costs[a.id]
         push(cost, {a.id: frozenset() for a in scenario.agents}, paths, costs)
         while open_heap:
+            if _time.monotonic() > deadline:
+                raise CBSTimeout
             cost, _, _, constraints, paths, costs = heapq.heappop(open_heap)
             expansions += 1
             branch = _first_conflict(paths)
@@ -240,8 +256,11 @@ def plan_cbs(
             for con in branch:
                 aid = con.agent_id
                 own = constraints[aid] | {con}
-                agent = agents[aid]
-                res = _low_level(grid, agent.pos, agent.goal, own, moves, min_w, deadline)
+                if own not in planned:
+                    a = agents[aid]
+                    planned[own] = _low_level(grid, ids, a.pos, a.goal, own, moves, h[a.goal],
+                                              deadline)
+                res = planned[own]
                 if res is None:
                     continue
                 path, c = res

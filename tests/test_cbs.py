@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from auctionmapf import cbs
 from auctionmapf.cbs import (
     EDGE_WEIGHT_FLOOR,
     Constraint,
     _first_conflict,
+    _heuristic,
     _low_level,
     _move_table,
     execute_multihop,
@@ -16,7 +18,7 @@ from auctionmapf.cbs import (
     plan_cbs,
     run_cbs_trial,
 )
-from auctionmapf.world import AgentState, GridWorld, Scenario, distances, make_scenario
+from auctionmapf.world import AgentState, CellIds, GridWorld, Scenario, distances, make_scenario
 
 from helpers import joint_soc_dijkstra, joint_soc_oracle, path_cost, sample_edge_weights
 
@@ -39,21 +41,24 @@ def test_constraint_validation():
     assert edge.is_edge
 
 
-def _edge_weights(moves):
+def _edge_weights(grid, sigma, rng):
     """The move table's weight per undirected edge, keyed as in helpers."""
-    return {frozenset((cell, nxt)): w for cell, row in moves.items() for nxt, w in row[1:]}
+    ids = CellIds(grid)
+    moves = _move_table(grid, ids, sigma, rng)
+    cells = ids.cells
+    return {frozenset((cells[i], cells[j])): w for i, row in enumerate(moves) for j, w in row[1:]}
 
 
 def test_edge_weights_unit_without_noise():
     grid = GridWorld(4, 4)
-    weights = _edge_weights(_move_table(grid, 0.0, random.Random(0)))
+    weights = _edge_weights(grid, 0.0, random.Random(0))
     assert len(weights) == 2 * 4 * 3  # horizontal + vertical edges
     assert all(w == 1.0 for w in weights.values())
 
 
 def test_edge_weights_respect_floor():
     grid = GridWorld(6, 6)
-    weights = _edge_weights(_move_table(grid, 5.0, random.Random(3)))
+    weights = _edge_weights(grid, 5.0, random.Random(3))
     assert all(w >= 0.01 for w in weights.values())
     assert len(set(weights.values())) > 1
 
@@ -75,7 +80,7 @@ def test_edge_weights_drawn_in_row_major_order():
     for w in weights.values():
         assert w == max(EDGE_WEIGHT_FLOOR, 1.0 + rng.gauss(0.0, 0.3))
     # the move table draws the same weights from the same stream
-    assert _edge_weights(_move_table(grid, 0.3, random.Random(11))) == weights
+    assert _edge_weights(grid, 0.3, random.Random(11)) == weights
 
 
 def test_single_agent_gets_shortest_path():
@@ -227,20 +232,27 @@ def test_invalid_arguments():
 def _plan_one(grid, start, goal, constraints=(), sigma=0.0, seed=0):
     """_low_level over the move table plan_cbs would build from `sigma` and a
     weight stream seeded with `seed`; the cheapest edge from the oracle."""
-    moves = _move_table(grid, sigma, random.Random(seed))
+    ids = CellIds(grid)
+    moves = _move_table(grid, ids, sigma, random.Random(seed))
     min_w = min(sample_edge_weights(grid, sigma, random.Random(seed)).values(), default=1.0)
-    return _low_level(grid, start, goal, frozenset(constraints), moves, min_w, math.inf)
+    h = _heuristic(ids, goal, min_w)
+    return _low_level(grid, ids, start, goal, frozenset(constraints), moves, h, math.inf)
 
 
 def test_move_table_lists_wait_then_neighbors():
     grid = GridWorld(3, 3, obstacles=frozenset({(0, 1)}))
     weights = sample_edge_weights(grid, 0.5, random.Random(4))
-    moves = _move_table(grid, 0.5, random.Random(4))
-    assert set(moves) == set(grid.free_cells())
-    for cell, row in moves.items():
-        assert row[0] == (cell, 1.0)
-        assert [nxt for nxt, _ in row[1:]] == grid.neighbors(cell)
-        assert all(w == weights[frozenset((cell, nxt))] for nxt, w in row[1:])
+    ids = CellIds(grid)
+    moves = _move_table(grid, ids, 0.5, random.Random(4))
+    # a row for each free cell; the ring and the obstacle have none
+    assert [ids.cells[i] for i, row in enumerate(moves) if row] == grid.free_cells()
+    for i, row in enumerate(moves):
+        if not row:
+            continue
+        cell = ids.cells[i]
+        assert row[0] == (i, 1.0)
+        assert [ids.cells[j] for j, _ in row[1:]] == grid.neighbors(cell)
+        assert all(w == weights[frozenset((cell, ids.cells[j]))] for j, w in row[1:])
 
 
 def test_low_level_vertex_constraint_forces_a_wait():
@@ -363,6 +375,30 @@ def test_cbs_plans_match_benchmark_reference_digests(monkeypatch):
         if trace is None or cbs_digest(trace, result) != reference[key]["digest"]:
             mismatched.append(key)
     assert mismatched == []
+
+
+def test_plan_searches_each_agent_constraint_set_once(monkeypatch):
+    """A plan memoises its low-level searches: gap-1 seed 8 expands 310 CT
+    nodes, whose branches ask for one (start, goal, constraints) search many
+    times over, and still searches each once and plans its reference digest."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from checks import cbs_digest
+
+    searched = []
+    low_level = cbs._low_level
+
+    def recorder(grid, ids, start, goal, constraints, *rest):
+        searched.append((start, goal, constraints))
+        return low_level(grid, ids, start, goal, constraints, *rest)
+
+    monkeypatch.setattr(cbs, "_low_level", recorder)
+    scenario = make_scenario("intersection", 11, 11, 3, gap_size=1, rng_seed=8)
+    trace, result = run_cbs_trial(scenario, noise_sigma=0.3, variant="cbs")
+    assert len(searched) == len(set(searched))
+    # without the memo every expansion but the last would search twice
+    assert len(searched) < 2 * result.expansions
+    reference = json.loads((BENCH / "reference.json").read_text())
+    assert cbs_digest(trace, result) == reference["intersection-11x11-n3-g1:8"]["digest"]
 
 
 # `checks.cbs_digest` of the first eight plans that branch, among seeds 0-79 of
