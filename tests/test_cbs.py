@@ -245,10 +245,9 @@ def test_move_table_lists_wait_then_neighbors():
     ids = CellIds(grid)
     moves = _move_table(grid, ids, 0.5, random.Random(4))
     # a row for each free cell; the ring and the obstacle have none
-    assert [ids.cells[i] for i, row in enumerate(moves) if row] == grid.free_cells()
-    for i, row in enumerate(moves):
-        if not row:
-            continue
+    rows = [(i, row) for i, row in enumerate(moves) if row]
+    assert [ids.cells[i] for i, _ in rows] == grid.free_cells()
+    for i, row in rows:
         cell = ids.cells[i]
         assert row[0] == (i, 1.0)
         assert [ids.cells[j] for j, _ in row[1:]] == grid.neighbors(cell)
