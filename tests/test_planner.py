@@ -645,6 +645,102 @@ def test_traces_match_pinned_digests_on_non_square_grids(instance, monkeypatch):
         assert planner_digest(trace) == digest, seed
 
 
+# `checks.planner_digest` of the baseline resolvers' trials, recorded at
+# commit eee9520, before the flood over cell ids. Every trial holds
+# auctions, each resolver sees order intrusions, and fifo's hallway seed 39
+# deadlocks; all of them take about 1.5 s of CPU.
+BASELINE_DIGESTS = {
+    ("random-ordering", "doorway", 14, 14, 20, 2, 0): {
+        0: "3632b380efa53dcf0cbb70a2986f406a02f32c717cacd29404c419befcce5d8c",
+        1: "ec86f5211d7d9e9d5e26dc06eb9863c1d29495e49ea3720d5fb5f8a2a0a7f6f0",
+        2: "b2c314a3e9c1b96c8ed113a7195c9768523924d73e5c03d8c4ac4267459277b4",
+        3: "a1b38512f095d8160573b5b236f529ec87a704a3f833b234bd627090004138ac",
+        4: "1b367f70951640bf0b111eb8f356393191ad89912471a78116d12a2d334755ba",
+        5: "7d7b4e09cee2aec4c30ec31b354e0097ecfb82cfd4f0716727be1b39d8052355",
+    },
+    ("random-ordering", "intersection", 16, 16, 20, 4, 0): {
+        0: "b2751d8193421c46eddd0ad62df3c2360d6655052e12ee0d72e49712ab33d590",
+        1: "572fdead821668096a8146c8bd9a5b8ddc040b2e22d3b884e71be4ffeae68ec4",
+        2: "53599994a893594324ab76036a95de17c24a73266d0234853b1981cdc407d83a",
+        3: "981a74af5084ea01d739ae97ac759b57c5da98fa10182b9f6c4bfc4197684730",
+        4: "5bbfe941a94c09013421518ff5f0ed2fc131ca58443a7e07b0211eae1d325d36",
+        5: "1e73c57f9808d2d769ddf62e67e18afe4a099b5d59755f6010674db76e334ff9",
+    },
+    ("random-ordering", "hallway", 20, 20, 50, 3, 0): {
+        21: "c527728119b216fc85e843e1bfd3942f23d37419791ff7ea23ce4ea57e455146",
+        45: "1f887e76d8576baca1aca5580ab2a5402c4cb60df7f0d3d642fe9ecf94f9137b",
+    },
+    ("random-ordering", "random-obstacles", 15, 9, 8, 1, 12): {
+        0: "61bdff6a8d1a7e93be2f71c887880eb7979d7c4a65bc38a01ddc27beb2f8e575",
+        1: "080f3770b1dae4a352682ae629d3199bc25b1f5c8df6e85e4716d4447be2b06d",
+        2: "74800e68d89a89b9f342f0aa6d4eac4ad30cf3da6584fd57f9fa5899f585d580",
+    },
+    ("fifo", "doorway", 14, 14, 20, 2, 0): {
+        0: "ac1969ec9d6e0cefd9e4e2dde20c2a07bf656f0f7cc16088fef6f97dccbac104",
+        1: "727342d8c31be53eee807f0bfe74e8db9c4d093cc4eeb4ede98b015e56010150",
+        2: "ab719e87a1c9017ab740e9257f78ea4a0fcd4dc853624159cd5ec8b37d3160f9",
+        3: "4ebd43c9ee8c800a5bf476fdec22511c18acdd576bd9fd3d04e38092b0bb004a",
+        4: "39534e95759d02a0216efb5fd344bc528a727f0bac4233f34b075a3b7f44e4d3",
+        5: "afe1b2e12506b1e1672b5e41e9f9044a63be37ba5f1bc69cfd9a962962cf66db",
+    },
+    ("fifo", "intersection", 16, 16, 20, 4, 0): {
+        0: "82d3cd17e362a81f4231dfefb0d389cf0541df111f15ee438ea10ad2143580b5",
+        1: "95bdf41238faa15b3cfc75ae83b54526237cb3f7cdd8ba15669636650e78731d",
+        2: "91049cf02bbd73701eae6e12c288017e372d9e2e4ff948f00586d1283c6c3864",
+        3: "f251af8778179c26cf6206d0592a6e92f63807fa30018518c9af2a62da9d60d7",
+        4: "08ecdd6001dcdf31e80c75f18ab3b32d43921bd5b4df3c9bddc6a46c92c54424",
+        5: "85a5a2ad595affb05a54962a944663e6d0c5c47a0ae59a4aeddb2e93f5240bc8",
+    },
+    ("fifo", "hallway", 20, 20, 50, 3, 0): {
+        21: "4219288cb7978b1f34801df1e1f89a540db31e0fb1132b00b41d548716ed6bc8",
+        39: "586756ce673db8f321a7c27877ceb96dc12b6b9698d3223152482d1f1a13f497",
+    },
+    ("fifo", "random-obstacles", 15, 9, 8, 1, 12): {
+        0: "53a2a3ae575d00397f3db6fc282ab9e6a667b48651099a6c82b345bd00ed80dc",
+        1: "c10c58f35613c1d41792b4db3f0e6bbff40d6ab6d61d0b67b1f7b59baa8cdf41",
+        2: "be22710a59d2e615e414129648eb40811418d5550e48ef9aa155c766ca8d2278",
+    },
+}
+
+
+def _held_intrusions(trace):
+    """Logged conflicts that hold an agent an earlier order still holds: a
+    held agent waits, so it joins a conflict only when movers intrude on
+    its order's cell. Read off the auction log alone."""
+    release, intrusions = {}, 0
+    for rc in trace.conflicts:
+        intrusions += any(release.get(aid, -1) > rc.tick for aid in rc.contenders)
+        for aid, q in rc.ordering.ordering.items():
+            release[aid] = rc.tick + q - 1
+    return intrusions
+
+
+@pytest.mark.parametrize("resolver", ["random-ordering", "fifo"])
+def test_baseline_traces_match_pinned_digests(resolver, monkeypatch):
+    """The baseline resolvers share the tick, the fields and the settlement
+    table with the auction, so a change there that only a baseline's order
+    would show (a fifo tie-break, a shuffle) fails here."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from checks import planner_digest
+
+    mismatched, intrusions, deadlocked = [], 0, 0
+    for (pinned, kind, width, height, n, gap, n_obstacles), digests in BASELINE_DIGESTS.items():
+        if pinned != resolver:
+            continue
+        for seed, digest in digests.items():
+            scenario = make_scenario(kind, width, height, n, gap_size=gap, rng_seed=seed,
+                                     n_obstacles=n_obstacles)
+            trace = run_trial(scenario, resolver=resolver)
+            assert trace.conflicts, (kind, seed)
+            if planner_digest(trace) != digest:
+                mismatched.append((kind, seed))
+            intrusions += _held_intrusions(trace)
+            deadlocked += trace.deadlocked
+    assert mismatched == []
+    assert intrusions > 0
+    assert deadlocked == (resolver == "fifo")
+
+
 def test_traces_match_benchmark_reference_digests(monkeypatch):
     """Two criterion-4 cells, and the hallway cell's six shortest trials,
     replay to the digests recorded in bench/reference.json, so a change to
