@@ -296,8 +296,7 @@ class _Trial:
         self.in_id_order = sorted(agents, key=lambda a: a.id)
         self.ids = ids = CellIds(grid)
         # one flood per agent: Scenario.validate keeps goals distinct
-        self.fields = {a.id: ids.flat(potential.build_potential_map(grid, a.goal).values)
-                       for a in agents}
+        self.fields = {a.id: potential.build_potential_map(ids, a.goal).field for a in agents}
         self.at = {a.id: ids.id(a.pos) for a in agents}
         self.goal = {a.id: ids.id(a.goal) for a in agents}
         self.arrival = {a.id: 0 if a.pos == a.goal else None for a in agents}

@@ -9,16 +9,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .world import Cell, GridWorld, distances
+from .world import Cell, CellIds
 
 
 @dataclass(frozen=True)
 class PotentialMap:
-    values: list[list[int]]  # world.distances rows, [row][col]; UNREACHABLE when blocked
+    field: list[int]  # CellIds.flood of the goal, indexed by id; UNREACHABLE when blocked
+    stride: int  # the CellIds stride, which `values` slices by
+
+    @property
+    def values(self) -> list[list[int]]:
+        """The field's [row][col] rows, sliced off for 2-D readers; the
+        planner reads `field`."""
+        s, field = self.stride, self.field
+        return [field[i + 1 : i + s - 1] for i in range(s, len(field) - s, s)]
 
 
-def build_potential_map(grid: GridWorld, goal: Cell) -> PotentialMap:
+def build_potential_map(ids: CellIds, goal: Cell) -> PotentialMap:
     # hand-built scenarios reach the planner without Scenario.validate
-    if not grid.is_free(goal):
+    if not ids.grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell")
-    return PotentialMap(distances(grid, goal))
+    return PotentialMap(ids.flood(ids.id(goal)), ids.stride)

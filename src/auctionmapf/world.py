@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,6 +26,7 @@ SCENARIO_KINDS = ("doorway", "hallway", "intersection", "random-obstacles")
 MAX_PLACEMENT_RETRIES = 1000
 
 UNREACHABLE = -1  # distance of an obstacle or of a cell cut off from the source
+_UNSEEN = -2  # a free cell that a running flood has not reached yet
 
 
 class ScenarioError(ValueError):
@@ -74,20 +74,53 @@ class CellIds:
     one per trial or plan; never cache one on the grid or the module."""
 
     def __init__(self, grid: GridWorld):
+        self.grid = grid
         self.stride = stride = grid.width + 2
         self.moves = tuple((name, dr * stride + dc) for name, dr, dc in MOVES)  # (name, offset)
-        rows = [[(r, c) for c in range(grid.width)] for r in range(grid.height)]
-        self.cells: list[Optional[Cell]] = self.flat(rows, ring=None)  # id -> cell
+        self.cells: list[Optional[Cell]] = [None] * stride  # id -> cell
+        for r in range(grid.height):
+            self.cells += (None, *((r, c) for c in range(grid.width)), None)
+        self.cells += [None] * stride
+        blocked = grid.obstacles
+        # what a flood starts from: every free cell unseen, the rest blocked
+        self._template = [
+            UNREACHABLE if cell is None or cell in blocked else _UNSEEN for cell in self.cells
+        ]
+        self._n_free = grid.width * grid.height - len(blocked)
 
     def id(self, cell: Cell) -> int:
         return (cell[0] + 1) * self.stride + cell[1] + 1
 
-    def flat(self, rows: Sequence[Sequence], ring=UNREACHABLE) -> list:
-        """[row][col] values as one list indexed by id, `ring` on the ring."""
-        flat = [ring] * self.stride
-        for row in rows:
-            flat += (ring, *row, ring)
-        return flat + [ring] * self.stride
+    def flood(self, source: int) -> list[int]:
+        """Hop count between free cell `source` and every id, by one
+        breadth-first flood; UNREACHABLE on the ring, obstacles and cells cut
+        off from the source. The ring stops every step, so none is checked."""
+        field = self._template.copy()
+        field[source] = 0
+        unseen, stride = _UNSEEN, self.stride
+        frontier, reached, d = [source], 1, 0
+        while frontier:
+            d += 1
+            level = []
+            push = level.append
+            for p in frontier:
+                if field[p - stride] == unseen:
+                    field[p - stride] = d
+                    push(p - stride)
+                if field[p + stride] == unseen:
+                    field[p + stride] = d
+                    push(p + stride)
+                if field[p - 1] == unseen:
+                    field[p - 1] = d
+                    push(p - 1)
+                if field[p + 1] == unseen:
+                    field[p + 1] = d
+                    push(p + 1)
+            reached += len(level)
+            frontier = level
+        if reached < self._n_free:
+            return [UNREACHABLE if v == unseen else v for v in field]
+        return field
 
 
 @dataclass
@@ -122,40 +155,18 @@ class Scenario:
             raise ScenarioError("duplicate goal cells")
         # one flood per connected component: a field that reaches the goal
         # reaches exactly the cells the goal reaches
-        fields: list[list[list[int]]] = []
+        ids = CellIds(self.grid)
+        fields: list[list[int]] = []
         for a in self.agents:
             if not self.grid.is_free(a.pos) or not self.grid.is_free(a.goal):
                 raise ScenarioError(f"agent {a.id} start/goal on obstacle or outside grid")
-            field = next((f for f in fields if f[a.goal[0]][a.goal[1]] != UNREACHABLE), None)
+            goal = ids.id(a.goal)
+            field = next((f for f in fields if f[goal] != UNREACHABLE), None)
             if field is None:
-                field = distances(self.grid, a.goal)
+                field = ids.flood(goal)
                 fields.append(field)
-            if field[a.pos[0]][a.pos[1]] == UNREACHABLE:
+            if field[ids.id(a.pos)] == UNREACHABLE:
                 raise ScenarioError(f"agent {a.id} goal unreachable from start")
-
-
-def distances(grid: GridWorld, source: Cell) -> list[list[int]]:
-    """Hop count between `source` and every cell, indexed [row][col], by one
-    breadth-first flood; UNREACHABLE for obstacles and cut-off cells."""
-    height, width = grid.height, grid.width
-    blocked = grid.obstacles
-    values = [[UNREACHABLE] * width for _ in range(height)]
-    values[source[0]][source[1]] = 0
-    queue = deque([source])
-    while queue:
-        r, c = queue.popleft()
-        d = values[r][c] + 1
-        for _, dr, dc in MOVES:
-            nr, nc = r + dr, c + dc
-            if (
-                0 <= nr < height
-                and 0 <= nc < width
-                and values[nr][nc] == UNREACHABLE
-                and (nr, nc) not in blocked
-            ):
-                values[nr][nc] = d
-                queue.append((nr, nc))
-    return values
 
 
 def _sample_distinct(rng: random.Random, cells: Sequence[Cell], n: int, label: str) -> list[Cell]:
@@ -277,8 +288,9 @@ def make_scenario(
             obstacle_cells = rng.sample(all_cells, n_obstacles)
             grid = GridWorld(width, height, frozenset(obstacle_cells))
             free = grid.free_cells()
-            reach = distances(grid, free[0])
-            if all(reach[r][c] != UNREACHABLE for r, c in free):
+            ids = CellIds(grid)
+            reach = ids.flood(ids.id(free[0]))
+            if all(reach[ids.id(cell)] != UNREACHABLE for cell in free):
                 break
         else:
             raise ScenarioError("could not place obstacles without disconnecting the grid")

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's own graph code: the distance oracle
-is a heap-based Dijkstra (vs the library's BFS flood), the sum-of-costs
-oracles search the joint configuration space directly (A* under the summed
+These deliberately avoid the library's own graph code: the distance oracles
+are a heap-based Dijkstra and a breadth-first flood over `[row][col]` rows
+with bounds checks (vs the library's flood over padded cell ids), the
+sum-of-costs oracles search the joint configuration space directly (A* under the summed
 distance fields, and uninformed as a check on it), the edge-weight oracle
 draws CBS's noisy edge costs into a dict keyed by edge, the path-cost oracle
 re-adds a CBS path's edge weights step by step, the collision and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from fractions import Fraction
 
 
@@ -42,6 +44,27 @@ def dijkstra_distance_field(width, height, obstacles, goal):
     for (r, c), d in dist.items():
         field[r][c] = d
     return field
+
+
+def bfs_distances(grid, source):
+    """Hop count between `source` and every cell, indexed [row][col], by one
+    breadth-first flood over (row, col) cells; -1 for obstacles and cut-off
+    cells."""
+    values = [[-1] * grid.width for _ in range(grid.height)]
+    values[source[0]][source[1]] = 0
+    queue = deque([source])
+    while queue:
+        r, c = queue.popleft()
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (
+                0 <= nr < grid.height
+                and 0 <= nc < grid.width
+                and values[nr][nc] == -1
+                and (nr, nc) not in grid.obstacles
+            ):
+                values[nr][nc] = values[r][c] + 1
+                queue.append((nr, nc))
+    return values
 
 
 def _joint_successors(grid, positions, credits, goals, credit_cap):

@@ -18,9 +18,15 @@ from auctionmapf.cbs import (
     plan_cbs,
     run_cbs_trial,
 )
-from auctionmapf.world import AgentState, CellIds, GridWorld, Scenario, distances, make_scenario
+from auctionmapf.world import AgentState, CellIds, GridWorld, Scenario, make_scenario
 
-from helpers import joint_soc_dijkstra, joint_soc_oracle, path_cost, sample_edge_weights
+from helpers import (
+    bfs_distances,
+    joint_soc_dijkstra,
+    joint_soc_oracle,
+    path_cost,
+    sample_edge_weights,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -90,7 +96,7 @@ def test_single_agent_gets_shortest_path():
     assert not result.timed_out
     path = result.paths[0]
     assert path[0] == (0, 0) and path[-1] == (4, 4)
-    assert len(path) - 1 == distances(grid, (0, 0))[4][4]
+    assert len(path) - 1 == bfs_distances(grid, (0, 0))[4][4]
     assert result.cost == len(path) - 1
 
 

@@ -32,11 +32,11 @@ from auctionmapf.world import (
     SCENARIO_KINDS,
     Scenario,
     ScenarioError,
-    distances,
     make_scenario,
 )
 
 from helpers import (
+    bfs_distances,
     dijkstra_distance_field,
     payment,
     sweep_bounds_violations,
@@ -52,9 +52,9 @@ def _agent(aid, pos, goal, incentive=1):
     return AgentState(id=aid, pos=pos, goal=goal, incentive=incentive)
 
 
-def _field(ids, grid, goal):
+def _field(ids, goal):
     """A goal's potential as the planner reads it: one list indexed by id."""
-    return ids.flat(build_potential_map(grid, goal).values)
+    return build_potential_map(ids, goal).field
 
 
 def _action(ids, move):
@@ -75,7 +75,7 @@ def _to_ids(ids, proposals):
 
 def _propose(grid, agent, occupied=()):
     ids = CellIds(grid)
-    move = propose_move(ids, _field(ids, grid, agent.goal), agent, ids.id(agent.pos),
+    move = propose_move(ids, _field(ids, agent.goal), agent, ids.id(agent.pos),
                         {ids.id(cell) for cell in occupied})
     return _action(ids, move)
 
@@ -117,7 +117,7 @@ def test_corner_moves_stay_on_the_grid(width, height):
     for corner in corners:
         pos = ids.id(corner)
         for goal in grid.free_cells():
-            field = _field(ids, grid, goal)
+            field = _field(ids, goal)
             agent = _agent(0, corner, goal, incentive=width + height)
             for move in (propose_move(ids, field, agent, pos, set()),
                          escape_move(ids, field, pos, set(), [])):
@@ -211,7 +211,7 @@ def _reassign(grid, agents, proposals):
     """try_reassign on the one conflict of cell proposals; returns the
     residual, the proposals and the movers index, all in cells again."""
     ids = CellIds(grid)
-    fields = {a.id: _field(ids, grid, a.goal) for a in agents}
+    fields = {a.id: _field(ids, a.goal) for a in agents}
     by_id = _to_ids(ids, proposals)
     movers = mover_index(by_id)
     (conflict,) = detect_conflicts(movers)
@@ -309,7 +309,7 @@ def test_agent_starting_on_goal():
 def test_moving_agent_potential_strictly_decreases():
     scenario = _fig1_scenario()
     trace = run_trial(scenario)
-    fields = {a.id: distances(scenario.grid, a.goal) for a in scenario.agents}
+    fields = {a.id: bfs_distances(scenario.grid, a.goal) for a in scenario.agents}
     last = {a.id: fields[a.id][a.pos[0]][a.pos[1]] for a in scenario.agents}
     for ln in trace.lines:
         if ln.waiting:

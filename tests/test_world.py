@@ -13,7 +13,6 @@ from auctionmapf.world import (
     Scenario,
     ScenarioError,
     UNREACHABLE,
-    distances,
     grid_to_ascii,
     make_scenario,
     scenario_from_dict,
@@ -21,6 +20,8 @@ from auctionmapf.world import (
     scenario_to_dict,
     scenario_to_json,
 )
+
+from helpers import bfs_distances
 
 
 @pytest.mark.parametrize("width, height", [(1, 6), (6, 1), (5, 3), (3, 5)])
@@ -42,8 +43,8 @@ def test_cell_ids_round_trip_in_row_major_order_with_an_unreachable_ring(width, 
     assert offsets == {-d for d in offsets}
     ring = [i for i, cell in enumerate(ids.cells) if cell is None]
     assert len(ring) == len(ids.cells) - width * height == 2 * (width + height) + 4
-    rows = distances(grid, (0, 0))
-    field = ids.flat(rows)
+    rows = bfs_distances(grid, (0, 0))
+    field = ids.flood(ids.id((0, 0)))
     assert len(field) == len(ids.cells)
     assert all(field[i] == UNREACHABLE for i in ring)
     assert [field[i] for i in numbered] == [rows[r][c] for r, c in cells]
@@ -67,7 +68,7 @@ def test_doorway_wall_has_exactly_gap_free_cells():
     for agent in scenario.agents:
         assert agent.pos[1] < wall_col
         assert agent.goal[1] > wall_col
-        assert distances(scenario.grid, agent.pos)[agent.goal[0]][agent.goal[1]] != UNREACHABLE
+        assert bfs_distances(scenario.grid, agent.pos)[agent.goal[0]][agent.goal[1]] != UNREACHABLE
 
 
 def test_doorway_gap_size_parameter():
@@ -93,10 +94,10 @@ def test_random_obstacles_scenario():
     )
     assert len(scenario.grid.obstacles) == 25
     free = scenario.grid.free_cells()
-    reach = distances(scenario.grid, free[0])
+    reach = bfs_distances(scenario.grid, free[0])
     assert all(reach[r][c] != UNREACHABLE for r, c in free)
     for agent in scenario.agents:
-        assert distances(scenario.grid, agent.pos)[agent.goal[0]][agent.goal[1]] != UNREACHABLE
+        assert bfs_distances(scenario.grid, agent.pos)[agent.goal[0]][agent.goal[1]] != UNREACHABLE
 
 
 def test_hallway_goals_cross_the_corridor():
@@ -297,12 +298,13 @@ def test_scenario_from_dict_fuzz_raises_only_scenario_error(path, value):
     scenario.validate()
 
 
-def test_bfs_distance_basics():
-    grid = GridWorld(5, 5)
-    assert distances(grid, (0, 0))[0][0] == 0
-    assert distances(grid, (0, 0))[4][4] == 8
-    walled = GridWorld(3, 3, frozenset({(0, 1), (1, 1)}))
-    assert distances(walled, (0, 0))[0][2] == 6
+def test_flood_distance_basics():
+    ids = CellIds(GridWorld(5, 5))
+    field = ids.flood(ids.id((0, 0)))
+    assert field[ids.id((0, 0))] == 0
+    assert field[ids.id((4, 4))] == 8
+    walled = CellIds(GridWorld(3, 3, frozenset({(0, 1), (1, 1)})))
+    assert walled.flood(walled.id((0, 0)))[walled.id((0, 2))] == 6
 
 
 def test_incentives_within_range():
