@@ -24,11 +24,17 @@ def test_wall_forces_detour():
     assert _values(grid, (1, 2))[1][0] == 4
 
 
-@pytest.mark.parametrize("goal", [(0, 1), (-1, 0), (0, 3), (3, 0), (0, -1)])
-def test_goal_off_the_free_cells_rejected(goal):
-    """A goal on an obstacle or off the grid raises: ids off the grid land on
-    the ring or wrap into another row, so the flood never sees them."""
+def test_goal_on_obstacle_rejected():
     ids = CellIds(GridWorld(3, 3, frozenset({(0, 1)})))
+    with pytest.raises(ValueError):
+        build_potential_map(ids, (0, 1))
+
+
+@pytest.mark.parametrize("goal", [(-1, 0), (0, 3), (3, 0), (0, -1)])
+def test_goal_off_the_grid_rejected(goal):
+    """Ids off the grid land on the ring or wrap into another row, so the
+    goal check, not the flood, must catch them."""
+    ids = CellIds(GridWorld(3, 3))
     with pytest.raises(ValueError):
         build_potential_map(ids, goal)
 

@@ -298,7 +298,7 @@ def test_scenario_from_dict_fuzz_raises_only_scenario_error(path, value):
     scenario.validate()
 
 
-def test_flood_distance_basics():
+def test_bfs_distance_basics():
     ids = CellIds(GridWorld(5, 5))
     field = ids.flood(ids.id((0, 0)))
     assert field[ids.id((0, 0))] == 0
