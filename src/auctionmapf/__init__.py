@@ -13,7 +13,7 @@ from .auction import (
     run_auction,
     sweep_utilities,
 )
-from .cbs import CBSResult, Constraint, execute_multihop, plan_cbs, run_cbs_trial
+from .cbs import CBSResult, execute_multihop, plan_cbs, run_cbs_trial
 from .harness import ExperimentConfig, parse_config, run_experiment, sweep_utility_experiment
 from .metrics import AggregateRecord, TrialRecord, aggregate, score_trial
 from .planner import (

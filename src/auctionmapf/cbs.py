@@ -25,21 +25,9 @@ DEFAULT_TIMEOUT = 20.0
 CBS_VARIANTS = ("cbs", "cbs-random")
 
 
-@dataclass(frozen=True)
-class Constraint:
-    agent_id: int
-    cell: Cell
-    tick: int
-    # edge constraints forbid the move cell_from -> cell at this tick
-    cell_from: Optional[Cell] = None
-
-    def __post_init__(self):
-        if self.tick < 0:
-            raise ValueError("constraint tick must be >= 0")
-
-    @property
-    def is_edge(self) -> bool:
-        return self.cell_from is not None
+# one agent's constraint over padded cell ids: (tick, id, None) bars arriving
+# on `id` at `tick`, (tick, id, from id) the move from `from id` to `id` at `tick`
+Constraint = tuple[int, int, Optional[int]]
 
 
 @dataclass
@@ -94,43 +82,41 @@ def _heuristic(ids: CellIds, goal: Cell, min_w: float) -> list[float]:
 
 
 def _low_level(
-    grid: GridWorld,
     ids: CellIds,
-    start: Cell,
-    goal: Cell,
+    start: int,
+    goal: int,
     constraints: frozenset[Constraint],
     moves: Moves,
     h: list[float],
     deadline: float,
-) -> Optional[tuple[list[Cell], float]]:
-    """Space-time A* honoring vertex and edge constraints for one agent, over
-    states `id + n * tick` with `h` the goal's heuristic. Raises `CBSTimeout`
-    once `time.monotonic()` passes `deadline`, checked before every pop.
+) -> Optional[tuple[list[int], float]]:
+    """Space-time A* from id `start` to id `goal` honoring one agent's vertex
+    and edge constraints, over states `id + n * tick` with `h` the goal's
+    heuristic; the path comes back as ids. Raises `CBSTimeout` once
+    `time.monotonic()` passes `deadline`, checked before every pop.
     """
     n = len(moves)
     # forbidden next ids, looked up once per pop: vertex constraints by
     # arrival tick, edge constraints by the state moved from
     vertex_at: dict[int, set[int]] = {}
     edge_at: dict[int, set[int]] = {}
-    for c in constraints:
-        if c.is_edge:
-            edge_at.setdefault(ids.id(c.cell_from) + n * c.tick, set()).add(ids.id(c.cell))
+    for t, i, came_from in constraints:
+        if came_from is None:
+            vertex_at.setdefault(t, set()).add(i)
         else:
-            vertex_at.setdefault(c.tick, set()).add(ids.id(c.cell))
-    last_con = max((c.tick for c in constraints), default=-1)
-    target = ids.id(goal)
+            edge_at.setdefault(came_from + n * t, set()).add(i)
+    last_con = max((t for t, _, _ in constraints), default=-1)
     # resting at the goal is only legal after the last vertex constraint there
-    last_goal_con = max((t for t, at in vertex_at.items() if target in at), default=-1)
-    horizon = grid.width * grid.height + last_con + 1
+    last_goal_con = max((t for t, at in vertex_at.items() if goal in at), default=-1)
+    horizon = ids.grid.width * ids.grid.height + last_con + 1
     heappush, heappop, monotonic = heapq.heappush, heapq.heappop, _time.monotonic
     inf = float("inf")
     no_ids: frozenset[int] = frozenset()
     counter = itertools.count()
 
-    root = ids.id(start)
-    open_heap = [(h[root], 0.0, next(counter), root)]
-    best: dict[int, float] = {root: 0.0}
-    parents: dict[int, Optional[int]] = {root: None}
+    open_heap = [(h[start], 0.0, next(counter), start)]
+    best: dict[int, float] = {start: 0.0}
+    parents: dict[int, Optional[int]] = {start: None}
 
     while open_heap:
         if monotonic() > deadline:
@@ -139,11 +125,11 @@ def _low_level(
         if g > best[state]:
             continue
         t, i = divmod(state, n)
-        if i == target and t > last_goal_con:
+        if i == goal and t > last_goal_con:
             path = []
             key = state
             while key is not None:
-                path.append(ids.cells[key % n])
+                path.append(key % n)
                 key = parents[key]
             path.reverse()
             return path, g
@@ -165,27 +151,26 @@ def _low_level(
     return None
 
 
-def _pad(path: list[Cell], length: int) -> list[Cell]:
-    return path + [path[-1]] * (length - len(path))
-
-
-def _first_conflict(paths: dict[int, list[Cell]]) -> Optional[tuple[Constraint, Constraint]]:
-    """The two branch constraints of the earliest vertex or edge conflict,
-    lower id pair first at equal ticks, or None when the paths are safe."""
-    ids = sorted(paths)
+def _first_conflict(
+    paths: dict[int, list[int]],
+) -> Optional[tuple[tuple[int, Constraint], tuple[int, Constraint]]]:
+    """The two `(agent id, constraint)` branches of the earliest vertex or
+    edge conflict between id paths, each padded by waiting at its goal, lower
+    agent pair first at equal ticks; None when the paths are safe."""
+    aids = sorted(paths)
     horizon = max(len(p) for p in paths.values())
-    padded = {aid: _pad(paths[aid], horizon) for aid in ids}
+    padded = {aid: paths[aid] + [paths[aid][-1]] * (horizon - len(paths[aid])) for aid in aids}
     for t in range(horizon):
-        for i_idx, i in enumerate(ids):
+        for k, i in enumerate(aids):
             here = padded[i][t]
-            for j in ids[i_idx + 1:]:
+            for j in aids[k + 1:]:
                 if here == padded[j][t]:
-                    return Constraint(i, here, t), Constraint(j, here, t)
+                    return (i, (t, here, None)), (j, (t, here, None))
                 if t + 1 < horizon:
                     there = padded[i][t + 1]
                     if here == padded[j][t + 1] and there == padded[j][t]:
                         # i may not move here -> there at t, nor j there -> here
-                        return Constraint(i, there, t, here), Constraint(j, here, t, there)
+                        return (i, (t, there, here)), (j, (t, here, there))
     return None
 
 
@@ -212,11 +197,11 @@ def plan_cbs(
     ids = CellIds(grid)
     moves = _move_table(grid, ids, noise_sigma, weights_rng)
     min_w = min((w for row in moves for _, w in row[1:]), default=1.0)
-    agents = {a.id: a for a in scenario.agents}
     h = {a.goal: _heuristic(ids, a.goal, min_w) for a in scenario.agents}
-    # `_low_level` is pure, so each agent's constraint set is searched once;
-    # a non-empty set names its agent
-    planned: dict[frozenset[Constraint], Optional[tuple[list[Cell], float]]] = {}
+    ends = {a.id: (ids.id(a.pos), ids.id(a.goal), h[a.goal]) for a in scenario.agents}
+    # every path and cost of the plan, once, by (agent id, constraint set):
+    # `_low_level` is pure, so each set is searched once
+    planned: dict[tuple[int, frozenset[Constraint]], Optional[tuple[list[int], float]]] = {}
     start_time = _time.monotonic()
     # checked before every CT pop and every A* pop: a CT pop whose branches
     # are all planned already never enters `_low_level`
@@ -225,47 +210,47 @@ def plan_cbs(
     expansions = 0
     open_heap: list = []
 
-    # a constraint-tree node is its heap entry; the unique count keeps heapq
-    # from comparing the per-agent constraints, paths and `_low_level` costs
-    def push(cost, constraints, paths, costs) -> None:
+    def search(aid: int, own: frozenset[Constraint]) -> Optional[tuple[list[int], float]]:
+        if (aid, own) not in planned:
+            start, goal, h_goal = ends[aid]
+            planned[aid, own] = _low_level(ids, start, goal, own, moves, h_goal, deadline)
+        return planned[aid, own]
+
+    # a constraint-tree node is its per-agent constraint sets, whose paths and
+    # costs `planned` holds; the unique count keeps heapq from comparing them
+    def push(cost, constraints) -> None:
         tie = rng.random() if variant == "cbs-random" else 0.0
-        heapq.heappush(open_heap, (cost, tie, next(counter), constraints, paths, costs))
+        heapq.heappush(open_heap, (cost, tie, next(counter), constraints))
 
     try:
-        paths: dict[int, list[Cell]] = {}
-        costs: dict[int, float] = {}
+        root = {aid: frozenset() for aid in ends}
         cost = 0.0
-        for a in scenario.agents:
-            res = _low_level(grid, ids, a.pos, a.goal, frozenset(), moves, h[a.goal], deadline)
+        for aid, own in root.items():
+            res = search(aid, own)
             if res is None:
-                raise ValueError(f"agent {a.id} has no path")
-            paths[a.id], costs[a.id] = res
+                raise ValueError(f"agent {aid} has no path")
             # `+=` in agent order, not sum(): from Python 3.12 a float sum()
             # is compensated and would give different bits
-            cost += costs[a.id]
-        push(cost, {a.id: frozenset() for a in scenario.agents}, paths, costs)
+            cost += res[1]
+        push(cost, root)
         while open_heap:
             if _time.monotonic() > deadline:
                 raise CBSTimeout
-            cost, _, _, constraints, paths, costs = heapq.heappop(open_heap)
+            cost, _, _, constraints = heapq.heappop(open_heap)
             expansions += 1
+            paths = {aid: planned[aid, own][0] for aid, own in constraints.items()}
             branch = _first_conflict(paths)
             if branch is None:
-                return CBSResult(paths=paths, cost=cost,
-                                 elapsed=_time.monotonic() - start_time, expansions=expansions)
-            for con in branch:
-                aid = con.agent_id
+                cells = ids.cells
+                return CBSResult(paths={aid: [cells[i] for i in p] for aid, p in paths.items()},
+                                 cost=cost, elapsed=_time.monotonic() - start_time,
+                                 expansions=expansions)
+            for aid, con in branch:
                 own = constraints[aid] | {con}
-                if own not in planned:
-                    a = agents[aid]
-                    planned[own] = _low_level(grid, ids, a.pos, a.goal, own, moves, h[a.goal],
-                                              deadline)
-                res = planned[own]
-                if res is None:
-                    continue
-                path, c = res
-                push(cost - costs[aid] + c, {**constraints, aid: own},
-                     {**paths, aid: path}, {**costs, aid: c})
+                res = search(aid, own)
+                if res is not None:
+                    push(cost - planned[aid, constraints[aid]][1] + res[1],
+                         {**constraints, aid: own})
         raise ValueError("constraint tree exhausted without a solution")
     except CBSTimeout:
         return CBSResult(paths=None, cost=float("inf"),

@@ -54,7 +54,7 @@ class ExperimentConfig:
     trials: int = 100
     solvers: tuple[str, ...] = ("auction",)
     noise_sigma: float = 0.3
-    timeout: float = 20.0  # seconds per CBS plan; planner trials stop on ticks
+    timeout: float = cbs_mod.DEFAULT_TIMEOUT  # seconds per CBS plan; planner trials stop on ticks
     base_seed: int = 0
     out_dir: str = "results"
     jobs: int = 1

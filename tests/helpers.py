@@ -3,8 +3,10 @@
 These deliberately avoid the library's own graph code: the distance oracles
 are a heap-based Dijkstra and a breadth-first flood over `[row][col]` rows
 with bounds checks (vs the library's flood over padded cell ids), the
-sum-of-costs oracles search the joint configuration space directly (A* under the summed
-distance fields, and uninformed as a check on it), the edge-weight oracle
+sum-of-costs oracles search the joint configuration space directly over
+their own bounds-checked neighbours (A* under the summed distance fields,
+and uninformed as a check on it), the first-conflict oracle rescans every
+agent pair of a CBS plan in `(row, col)` cells, the edge-weight oracle
 draws CBS's noisy edge costs into a dict keyed by edge, the path-cost oracle
 re-adds a CBS path's edge weights step by step, the collision and
 sweep-bounds audits re-derive sweeps from a trace's raw lines, and the
@@ -87,9 +89,14 @@ def _joint_successors(grid, positions, credits, goals, credit_cap):
                 options.append((pos, 0, credits[i] + 1))
         else:
             options.append((pos, 1, 0))
-        for nxt in grid.neighbors(pos):
-            cost = (credits[i] + 1) if at_goal else 1
-            options.append((nxt, cost, 0))
+        r, c = pos
+        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (
+                0 <= nxt[0] < grid.height
+                and 0 <= nxt[1] < grid.width
+                and nxt not in grid.obstacles
+            ):
+                options.append((nxt, (credits[i] + 1) if at_goal else 1, 0))
         per_agent.append(options)
     for combo in itertools.product(*per_agent):
         new_positions = tuple(opt[0] for opt in combo)
@@ -145,6 +152,32 @@ def joint_soc_dijkstra(grid, starts, goals, credit_cap=12):
     """`joint_soc_oracle` without a heuristic: uninformed Dijkstra over the
     same states, successors and costs."""
     return _joint_search(grid, starts, goals, credit_cap, lambda positions: 0)
+
+
+def first_conflict_oracle(paths):
+    """The earliest conflict between `(row, col)` paths keyed by agent id,
+    each path waiting at its goal once it ends, as `(agent id, (tick, cell,
+    cell moved from or None))` for both agents: a vertex meeting bars both
+    from the shared cell at that tick, a swap bars each from its own move.
+    Ties go to the lowest agent pair, and a meeting to the vertex; None when
+    no pair conflicts."""
+    horizon = max(len(p) for p in paths.values())
+
+    def at(aid, t):
+        return paths[aid][min(t, len(paths[aid]) - 1)]
+
+    found = []
+    for i, j in itertools.combinations(sorted(paths), 2):
+        for t in range(horizon):
+            if at(i, t) == at(j, t):
+                found.append((t, i, j, (i, (t, at(i, t), None)), (j, (t, at(j, t), None))))
+                break
+            if t + 1 < horizon and at(i, t) == at(j, t + 1) and at(j, t) == at(i, t + 1):
+                found.append(
+                    (t, i, j, (i, (t, at(i, t + 1), at(i, t))), (j, (t, at(j, t + 1), at(j, t))))
+                )
+                break
+    return min(found)[3:] if found else None
 
 
 def sample_edge_weights(grid, sigma, rng):

@@ -4,11 +4,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionmapf import cbs
 from auctionmapf.cbs import (
     EDGE_WEIGHT_FLOOR,
-    Constraint,
     _first_conflict,
     _heuristic,
     _low_level,
@@ -22,6 +23,7 @@ from auctionmapf.world import AgentState, CellIds, GridWorld, Scenario, make_sce
 
 from helpers import (
     bfs_distances,
+    first_conflict_oracle,
     joint_soc_dijkstra,
     joint_soc_oracle,
     path_cost,
@@ -36,15 +38,6 @@ def _scenario(grid, specs):
         AgentState(id=i, pos=s, goal=g, incentive=v) for i, (s, g, v) in enumerate(specs)
     ]
     return Scenario(grid=grid, agents=agents, kind="custom")
-
-
-def test_constraint_validation():
-    with pytest.raises(ValueError):
-        Constraint(agent_id=0, cell=(0, 0), tick=-1)
-    vertex = Constraint(agent_id=0, cell=(0, 0), tick=2)
-    edge = Constraint(agent_id=0, cell=(0, 1), tick=2, cell_from=(0, 0))
-    assert not vertex.is_edge
-    assert edge.is_edge
 
 
 def _edge_weights(grid, sigma, rng):
@@ -235,14 +228,26 @@ def test_invalid_arguments():
     assert not result.timed_out and result.paths is not None
 
 
+def _con(ids, tick, cell, cell_from=None):
+    """A constraint written in cells, `(tick, cell, cell moved from or None)`,
+    as the padded-id constraint CBS keeps."""
+    return tick, ids.id(cell), None if cell_from is None else ids.id(cell_from)
+
+
 def _plan_one(grid, start, goal, constraints=(), sigma=0.0, seed=0):
     """_low_level over the move table plan_cbs would build from `sigma` and a
-    weight stream seeded with `seed`; the cheapest edge from the oracle."""
+    weight stream seeded with `seed`; the cheapest edge from the oracle.
+    Constraints are given, and the path comes back, in cells."""
     ids = CellIds(grid)
     moves = _move_table(grid, ids, sigma, random.Random(seed))
     min_w = min(sample_edge_weights(grid, sigma, random.Random(seed)).values(), default=1.0)
     h = _heuristic(ids, goal, min_w)
-    return _low_level(grid, ids, start, goal, frozenset(constraints), moves, h, math.inf)
+    own = frozenset(_con(ids, *c) for c in constraints)
+    res = _low_level(ids, ids.id(start), ids.id(goal), own, moves, h, math.inf)
+    if res is None:
+        return None
+    path, cost = res
+    return [ids.cells[i] for i in path], cost
 
 
 def test_move_table_lists_wait_then_neighbors():
@@ -263,7 +268,7 @@ def test_move_table_lists_wait_then_neighbors():
 def test_low_level_vertex_constraint_forces_a_wait():
     # a one-row corridor: the only way round a blocked cell is to wait
     grid = GridWorld(3, 1)
-    path, cost = _plan_one(grid, (0, 0), (0, 2), [Constraint(0, (0, 1), 1)])
+    path, cost = _plan_one(grid, (0, 0), (0, 2), [(1, (0, 1))])
     assert path == [(0, 0), (0, 0), (0, 1), (0, 2)]
     assert cost == 3.0
 
@@ -271,7 +276,7 @@ def test_low_level_vertex_constraint_forces_a_wait():
 def test_low_level_vertex_constraint_forces_a_detour():
     # a wait is dearer than going round when waiting leaves the cell blocked
     grid = GridWorld(3, 2)
-    cons = [Constraint(0, (0, 1), t) for t in range(1, 6)]
+    cons = [(t, (0, 1)) for t in range(1, 6)]
     path, cost = _plan_one(grid, (0, 0), (0, 2), cons)
     assert (0, 1) not in path
     assert path == [(0, 0), (1, 0), (1, 1), (1, 2), (0, 2)]
@@ -283,23 +288,23 @@ def test_low_level_edge_constraint_forbids_one_traversal():
     path, _ = _plan_one(grid, (0, 0), (0, 1))
     assert path == [(0, 0), (0, 1)]
     # the move (0,0) -> (0,1) is forbidden at tick 0 only
-    path, cost = _plan_one(grid, (0, 0), (0, 1), [Constraint(0, (0, 1), 0, cell_from=(0, 0))])
+    path, cost = _plan_one(grid, (0, 0), (0, 1), [(0, (0, 1), (0, 0))])
     assert path == [(0, 0), (0, 0), (0, 1)]
     assert cost == 2.0
     # the reverse direction at tick 0 does not block this agent
-    path, _ = _plan_one(grid, (0, 0), (0, 1), [Constraint(0, (0, 0), 0, cell_from=(0, 1))])
+    path, _ = _plan_one(grid, (0, 0), (0, 1), [(0, (0, 0), (0, 1))])
     assert path == [(0, 0), (0, 1)]
 
 
 def test_low_level_rests_at_goal_only_after_last_goal_constraint():
     grid = GridWorld(3, 1)
     # the goal is taken at tick 4, so the path may not end before tick 5
-    path, _ = _plan_one(grid, (0, 0), (0, 2), [Constraint(0, (0, 2), 4)])
+    path, _ = _plan_one(grid, (0, 0), (0, 2), [(4, (0, 2))])
     assert path[-1] == (0, 2)
     assert len(path) - 1 == 5
     assert path[4] != (0, 2)
     # a constraint elsewhere does not delay the end
-    path, _ = _plan_one(grid, (0, 0), (0, 2), [Constraint(0, (0, 0), 4)])
+    path, _ = _plan_one(grid, (0, 0), (0, 2), [(4, (0, 0))])
     assert len(path) - 1 == 2
 
 
@@ -313,26 +318,41 @@ def test_low_level_cost_equals_path_cost_under_noise():
     grid = GridWorld(7, 7, obstacles=frozenset({(3, 1), (3, 2), (3, 3), (3, 5)}))
     for seed in range(10):
         weights = sample_edge_weights(grid, 0.3, random.Random(seed))
-        cons = [Constraint(0, (3, 4), t) for t in range(3, 7)]
+        cons = [(t, (3, 4)) for t in range(3, 7)]
         path, cost = _plan_one(grid, (0, 0), (6, 6), cons, sigma=0.3, seed=seed)
         assert path[0] == (0, 0) and path[-1] == (6, 6)
         assert cost == path_cost(path, weights)
 
 
+def _first_conflict_in_cells(grid, paths):
+    """`_first_conflict` on `(row, col)` paths, run over their padded ids."""
+    ids = CellIds(grid)
+    return _first_conflict({aid: [ids.id(c) for c in p] for aid, p in paths.items()})
+
+
+def _branches(grid, *branches):
+    """`(agent id, constraint in cells)` branches as `_first_conflict` gives them."""
+    ids = CellIds(grid)
+    return tuple((aid, _con(ids, *con)) for aid, con in branches)
+
+
 def test_first_conflict_gives_the_two_branch_constraints():
+    grid = GridWorld(5, 5)
     # a vertex meeting: both are barred from the shared cell at that tick
     paths = {0: [(0, 0), (0, 1), (0, 2)], 1: [(1, 1), (0, 1), (0, 0)]}
-    assert _first_conflict(paths) == (Constraint(0, (0, 1), 1), Constraint(1, (0, 1), 1))
+    assert _first_conflict_in_cells(grid, paths) == _branches(
+        grid, (0, (1, (0, 1))), (1, (1, (0, 1))),
+    )
     # a swap: each is barred from its own move at the departure tick
     paths = {0: [(0, 0), (0, 1)], 1: [(0, 1), (0, 0)]}
-    assert _first_conflict(paths) == (
-        Constraint(0, (0, 1), 0, cell_from=(0, 0)),
-        Constraint(1, (0, 0), 0, cell_from=(0, 1)),
+    assert _first_conflict_in_cells(grid, paths) == _branches(
+        grid, (0, (0, (0, 1), (0, 0))), (1, (0, (0, 0), (0, 1))),
     )
-    assert _first_conflict({0: [(0, 0), (0, 1)], 1: [(1, 1), (1, 2)]}) is None
+    assert _first_conflict_in_cells(grid, {0: [(0, 0), (0, 1)], 1: [(1, 1), (1, 2)]}) is None
     # a shorter path waits at its goal, so a later arrival there still meets it
-    assert _first_conflict({0: [(0, 1)], 1: [(1, 0), (1, 1), (0, 1)]}) == (
-        Constraint(0, (0, 1), 2), Constraint(1, (0, 1), 2),
+    paths = {0: [(0, 1)], 1: [(1, 0), (1, 1), (0, 1)]}
+    assert _first_conflict_in_cells(grid, paths) == _branches(
+        grid, (0, (2, (0, 1))), (1, (2, (0, 1))),
     )
     # the earliest tick wins over a lower id pair, then the lower id pair wins
     paths = {
@@ -341,12 +361,59 @@ def test_first_conflict_gives_the_two_branch_constraints():
         2: [(4, 0), (3, 0), (3, 1), (4, 1)],
         3: [(4, 2), (3, 1), (3, 0), (4, 0)],  # swaps with 2 at tick 1
     }
-    assert _first_conflict(paths) == (
-        Constraint(2, (3, 1), 1, cell_from=(3, 0)),
-        Constraint(3, (3, 0), 1, cell_from=(3, 1)),
+    assert _first_conflict_in_cells(grid, paths) == _branches(
+        grid, (2, (1, (3, 1), (3, 0))), (3, (1, (3, 0), (3, 1))),
     )
     paths[3] = [(4, 3), (4, 2), (3, 1), (3, 2)]  # now meets 2 at tick 2 instead
-    assert _first_conflict(paths) == (Constraint(0, (0, 2), 2), Constraint(1, (0, 2), 2))
+    assert _first_conflict_in_cells(grid, paths) == _branches(
+        grid, (0, (2, (0, 2))), (1, (2, (0, 2))),
+    )
+
+
+STEPS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def _walk(start, steps):
+    """A path on a 3x3 grid: each step a wait or a move, clamped to the grid."""
+    path = [start]
+    for dr, dc in steps:
+        r, c = path[-1]
+        path.append((min(max(r + dr, 0), 2), min(max(c + dc, 0), 2)))
+    return path
+
+
+def _retrace(walks):
+    """Each agent keeps its own walk or, when flagged, runs the previous
+    agent's path backwards, which makes swaps common."""
+    paths = []
+    for walk, backwards in walks:
+        paths.append(paths[-1][::-1] if backwards and paths else walk)
+    return dict(enumerate(paths))
+
+
+WALKS = st.builds(
+    _walk,
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.lists(st.sampled_from(STEPS), max_size=5),
+)
+# distinct starts, so most conflicts come after tick 0: on 300 draws about
+# 125 meetings (50 of them at a goal an agent waits on), 50 swaps, 125 none
+PLANS = (
+    st.lists(st.tuples(WALKS, st.booleans()), min_size=2, max_size=4)
+    .map(_retrace)
+    .filter(lambda paths: len({p[0] for p in paths.values()}) == len(paths))
+)
+
+
+@given(PLANS)
+@settings(max_examples=300, deadline=None)
+def test_first_conflict_matches_cell_oracle(paths):
+    grid = GridWorld(3, 3)
+    expected = first_conflict_oracle(paths)
+    if expected is None:
+        assert _first_conflict_in_cells(grid, paths) is None
+    else:
+        assert _first_conflict_in_cells(grid, paths) == _branches(grid, *expected)
 
 
 def test_ct_cost_is_sum_of_path_lengths_without_noise():
@@ -392,9 +459,9 @@ def test_plan_searches_each_agent_constraint_set_once(monkeypatch):
     searched = []
     low_level = cbs._low_level
 
-    def recorder(grid, ids, start, goal, constraints, *rest):
+    def recorder(ids, start, goal, constraints, *rest):
         searched.append((start, goal, constraints))
-        return low_level(grid, ids, start, goal, constraints, *rest)
+        return low_level(ids, start, goal, constraints, *rest)
 
     monkeypatch.setattr(cbs, "_low_level", recorder)
     scenario = make_scenario("intersection", 11, 11, 3, gap_size=1, rng_seed=8)
