@@ -75,7 +75,8 @@ def score_trial(
     welfare = sum((incentives[aid] / t for aid, t in arrived.items() if t > 0), 0.0)
     welfare += sum(float(incentives[aid]) for aid, t in arrived.items() if t == 0)
     payments = (p for rc in trace.conflicts for p in rc.ordering.payments.values())
-    total_payments = math.fsum(map(float, payments))
+    # float()'s own correctly rounded division, without its method call
+    total_payments = math.fsum(p.numerator / p.denominator for p in payments)
     return TrialRecord(
         solver=solver,
         kind=scenario.kind,

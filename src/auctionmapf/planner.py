@@ -16,6 +16,8 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import potential
@@ -51,6 +53,9 @@ class Conflict:
 
 @dataclass(slots=True)
 class ResolvedConflict:
+    """One logged auction. Within a trial, records with equal turn order
+    share one read-only `ordering` outcome and one `bids` dict."""
+
     tick: int
     cell: Cell
     contenders: tuple[int, ...]
@@ -72,7 +77,9 @@ class TraceLine:
 @dataclass
 class SimulationTrace:
     """One trial of either solver. `configurations`, `conflicts`, `deadlocked`
-    and `guard_waits` are the planner's, `collisions` the CBS replay's."""
+    and `guard_waits` are the planner's, `collisions` the CBS replay's.
+    Conflicts with equal turn order share one read-only outcome and bids
+    dict, and `export_lines` joins the lines a tick at a time."""
 
     arrival_times: dict[int, Optional[int]]
     lines: list[TraceLine] = field(default_factory=list)
@@ -88,13 +95,14 @@ class SimulationTrace:
         return None not in self.arrival_times.values()
 
     def export_lines(self) -> str:
-        out = []
-        for ln in self.lines:
-            out.append(
+        return "\n".join(
+            "\n".join(
                 f"{ln.tick},{ln.agent_id},{ln.row},{ln.col},{ln.direction},{ln.step},"
                 f"{int(ln.waiting)}"
+                for ln in tick_lines
             )
-        return "\n".join(out)
+            for _, tick_lines in groupby(self.lines, key=attrgetter("tick"))
+        )
 
 
 _NOBODY: frozenset[int] = frozenset()
@@ -250,12 +258,14 @@ def _resolve(
     arrivals: dict[int, int],
     rng: random.Random,
     settled: dict[tuple[int, ...], tuple],
+    outcomes: dict[tuple[int, ...], tuple[AuctionOutcome, dict[int, Fraction]]],
 ) -> tuple[AuctionOutcome, dict[int, Fraction]]:
     """Turn order, and bids by id, for one conflict. The baselines charge
     nothing: they settle as an auction in which every bid is zero. Under one
     resolver, bids, payments, utilities and welfare by turn depend only on
     the incentives in turn order: `settled` keeps them per incentive tuple,
-    so a trial settles each tuple once."""
+    so a trial settles each tuple once. `outcomes` keeps the returned pair
+    per ranked id tuple, which fixes the incentives within a trial."""
     if resolver == "auction":
         # `auction._rank`'s order: descending bid, then arrival, then id
         ranked = sorted(contenders, key=lambda a: (-a.incentive, arrivals[a.id], a.id))
@@ -264,7 +274,9 @@ def _resolve(
         rng.shuffle(ranked)
     else:  # fifo; run_trial has checked the resolver name
         ranked = sorted(contenders, key=lambda a: (arrivals[a.id], a.id))
-    ids = [a.id for a in ranked]
+    ids = tuple(a.id for a in ranked)
+    if ids in outcomes:
+        return outcomes[ids]
     key = tuple(a.incentive for a in ranked)
     if key not in settled:
         schedule = harmonic_schedule(len(key))
@@ -278,7 +290,8 @@ def _resolve(
     amounts, pays, utils, welfare = settled[key]
     ordering = {aid: q for q, aid in enumerate(ids, start=1)}
     outcome = AuctionOutcome(ordering, dict(zip(ids, pays)), dict(zip(ids, utils)), welfare)
-    return outcome, dict(sorted(zip(ids, amounts)))
+    outcomes[ids] = outcome, dict(sorted(zip(ids, amounts)))
+    return outcomes[ids]
 
 
 class _Trial:
@@ -301,6 +314,7 @@ class _Trial:
         self.goal = {a.id: ids.id(a.goal) for a in agents}
         self.arrival = {a.id: 0 if a.pos == a.goal else None for a in agents}
         self.settled: dict[tuple[int, ...], tuple] = {}
+        self.outcomes: dict[tuple[int, ...], tuple[AuctionOutcome, dict[int, Fraction]]] = {}
         self.rng = random.Random(f"{scenario.seed}:{resolver}")
         self.configurations = [[a.pos for a in agents]]
         self.resolved: list[ResolvedConflict] = []
@@ -389,7 +403,8 @@ class _Trial:
             }
             in_id_order = tuple(sorted(conflict.contenders))
             contenders = [self.agents_by_id[aid] for aid in in_id_order]
-            ordering, bids = _resolve(self.resolver, contenders, arrivals, self.rng, self.settled)
+            ordering, bids = _resolve(self.resolver, contenders, arrivals, self.rng,
+                                      self.settled, self.outcomes)
             self.orders.append(
                 _ActiveOrder(
                     cell=conflict.cell,
@@ -397,14 +412,7 @@ class _Trial:
                 )
             )
             self.resolved.append(
-                ResolvedConflict(
-                    tick=t,
-                    cell=self.ids.cells[conflict.cell],
-                    contenders=in_id_order,
-                    bids=bids,
-                    ordering=ordering,
-                )
-            )
+                ResolvedConflict(t, self.ids.cells[conflict.cell], in_id_order, bids, ordering))
             for aid, q in ordering.ordering.items():
                 pos, move = proposals[aid]
                 if q > 1:

@@ -15,8 +15,8 @@ from auctionmapf.metrics import (
     trials_csv,
     utility_curves_csv,
 )
-from auctionmapf.planner import SimulationTrace
-from auctionmapf.world import AgentState, GridWorld, Scenario
+from auctionmapf.planner import SimulationTrace, run_trial
+from auctionmapf.world import AgentState, GridWorld, Scenario, make_scenario
 
 
 def _trace(arrivals, collisions=()):
@@ -201,3 +201,16 @@ def test_total_payments_accumulate_from_conflicts():
     ]
     record = score_trial(trace, _scenario([2, 1]), 0.0, "auction")
     assert record.total_payments == 0.5
+
+
+@pytest.mark.parametrize("seed", [21, 80])
+def test_total_payments_has_the_bits_of_float_conversion(seed):
+    """`total_payments` sums each Fraction as numerator / denominator, which
+    is `float()`'s own correctly rounded division; the CSV's six decimals
+    could not see a difference in the last bits, so this compares them."""
+    scenario = make_scenario("hallway", 20, 20, 50, gap_size=3, rng_seed=seed)
+    trace = run_trial(scenario, resolver="auction")
+    payments = [p for rc in trace.conflicts for p in rc.ordering.payments.values()]
+    assert any(p.denominator > 1 for p in payments)
+    record = score_trial(trace, scenario, 0.0, "auction")
+    assert record.total_payments == math.fsum(map(float, payments))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from auctionmapf.auction import Bid, harmonic_schedule, run_auction
+from auctionmapf.cbs import run_cbs_trial
 from auctionmapf.planner import (
     RESOLVERS,
     WAIT,
@@ -361,6 +363,42 @@ def test_trace_is_deterministic():
         assert a.arrival_times == b.arrival_times
 
 
+def _rendered(trace):
+    """The trace's lines rendered one at a time: the text `export_lines`
+    promises."""
+    return "\n".join(
+        f"{ln.tick},{ln.agent_id},{ln.row},{ln.col},{ln.direction},{ln.step},{int(ln.waiting)}"
+        for ln in trace.lines
+    )
+
+
+def test_export_lines_matches_a_per_line_rendering():
+    planner = run_trial(make_scenario("hallway", 10, 10, 6, gap_size=2, rng_seed=13))
+    cbs, _ = run_cbs_trial(make_scenario("intersection", 11, 11, 3, gap_size=9, rng_seed=4),
+                           noise_sigma=0.3)
+    empty = SimulationTrace(arrival_times={})
+    for trace in (planner, cbs, empty):
+        assert trace.export_lines() == _rendered(trace)
+    assert planner.lines and cbs.lines and empty.export_lines() == ""
+
+
+def test_export_lines_peak_memory_stays_near_its_output():
+    """Joined a tick at a time, the export of a long hallway trial never
+    holds much more than its own output: a list of one string per line
+    would peak at over four times it."""
+    trace = run_trial(make_scenario("hallway", 20, 20, 50, gap_size=3, rng_seed=0))
+    assert len(trace.lines) == 89_190
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = trace.export_lines()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(out)
+
+
 def test_last_turn_agent_pays_nothing():
     scenario = make_scenario("doorway", 10, 10, 6, gap_size=1, rng_seed=3)
     trace = run_trial(scenario, resolver="auction")
@@ -397,26 +435,72 @@ _SETTLED: dict = {}
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)), min_size=2, max_size=8),
-    st.integers(0, 1_000),
+    st.integers(1, 1_000),
 )
 def test_settlement_table_matches_run_auction(draw, shift):
     """The auction `_resolve`, through the shared settlement table, gives the
     ordering, payments, utilities, welfare and bids of `run_auction` on the
     same bids, whether the incentive tuple was settled before or not. Small
-    incentive and arrival ranges force ties on both."""
+    incentive and arrival ranges force ties on both. A second call with the
+    same ranked contenders returns the very same outcome and bids; the same
+    incentive tuple under other ids builds a new outcome with equal values."""
+    outcomes: dict = {}  # one trial's table: each id keeps its incentive
+    built = []
     for offset in (0, shift):  # the same tuple again under other ids is a hit
         contenders = [
             AgentState(id=offset + 3 * i, pos=(0, i), goal=(1, i), incentive=incentive)
             for i, (incentive, _) in enumerate(draw)
         ]
         arrivals = {a.id: arrival for a, (_, arrival) in zip(contenders, draw)}
-        outcome, bids = _resolve("auction", contenders, arrivals, random.Random(0), _SETTLED)
+        outcome, bids = _resolve(
+            "auction", contenders, arrivals, random.Random(0), _SETTLED, outcomes)
         expected = run_auction(
             [Bid(a.id, Fraction(a.incentive), arrivals[a.id]) for a in contenders],
             schedule=harmonic_schedule(len(contenders)),
         )
         assert outcome == expected
         assert bids == {a.id: Fraction(a.incentive) for a in contenders}
+        again = _resolve(
+            "auction", contenders[::-1], arrivals, random.Random(0), _SETTLED, outcomes)
+        assert again[0] is outcome and again[1] is bids
+        built.append(outcome)
+    first, second = built
+    assert first is not second
+    assert [first.payments[i] for i in first.turn_order()] == [
+        second.payments[i] for i in second.turn_order()]
+    assert [first.utilities[i] for i in first.turn_order()] == [
+        second.utilities[i] for i in second.turn_order()]
+    assert first.welfare == second.welfare
+
+
+@pytest.mark.parametrize("resolver", RESOLVERS)
+def test_equal_turn_orders_share_one_record(resolver):
+    """On a hallway 20x20/50 trial, the logged conflicts with one turn order
+    share one outcome and one bids dict, different turn orders share
+    neither, and every shared record still settles as its resolver
+    promises."""
+    scenario = make_scenario("hallway", 20, 20, 50, gap_size=3, rng_seed=21)
+    trace = run_trial(scenario, resolver=resolver)
+    by_order: dict = {}
+    for rc in trace.conflicts:
+        by_order.setdefault(tuple(rc.ordering.turn_order()), []).append(rc)
+    assert len(by_order) < len(trace.conflicts)  # some turn order repeats
+    for records in by_order.values():
+        assert len({id(rc.ordering) for rc in records}) == 1
+        assert len({id(rc.bids) for rc in records}) == 1
+    assert len({id(rs[0].ordering) for rs in by_order.values()}) == len(by_order)
+    assert len({id(rs[0].bids) for rs in by_order.values()}) == len(by_order)
+    if resolver == "auction":
+        assert _missettled(trace, {}) == []
+        return
+    # the baselines settle as an auction in which every bid is zero
+    for order, (rc, *_) in by_order.items():
+        schedule = harmonic_schedule(len(order))
+        out = rc.ordering
+        assert all(out.payments[aid] == 0 for aid in order)
+        expected = [utility(rc.bids[aid], q, 0, schedule) for q, aid in enumerate(order, 1)]
+        assert [out.utilities[aid] for aid in order] == expected
+        assert out.welfare == sum(expected)
 
 
 @pytest.mark.parametrize("seed", [0, 5])  # seed 0 deadlocks, seed 5 completes
