@@ -264,8 +264,8 @@ def _resolve(
     nothing: they settle as an auction in which every bid is zero. Under one
     resolver, bids, payments, utilities and welfare by turn depend only on
     the incentives in turn order: `settled` keeps them per incentive tuple,
-    so a trial settles each tuple once. `outcomes` keeps the returned pair
-    per ranked id tuple, which fixes the incentives within a trial."""
+    so a trial settles each tuple once. Incentives are fixed within a trial,
+    so `outcomes` keeps the returned pair per ranked id tuple."""
     if resolver == "auction":
         # `auction._rank`'s order: descending bid, then arrival, then id
         ranked = sorted(contenders, key=lambda a: (-a.incentive, arrivals[a.id], a.id))
