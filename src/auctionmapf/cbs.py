@@ -51,22 +51,24 @@ Moves = list[tuple[tuple[int, float], ...]]
 
 def _move_table(grid: GridWorld, ids: CellIds, sigma: float, rng: random.Random) -> Moves:
     """Each padded id's moves as (next id, cost): the wait first, then the
-    grid neighbours in `GridWorld.neighbors` order; `()` on the ring and on
-    obstacles. Built once per plan.
+    free neighbours in `ids.moves` order; `()` on the ring and on obstacles.
+    Built once per plan.
 
     Each undirected edge's weight is drawn once, fixed for the whole trial,
     by its upper or left end: cells row-major, each drawing down then right.
     """
+    free = {ids.id(cell) for cell in grid.free_cells()}
     moves: Moves = [()] * len(ids.cells)
-    for cell in grid.free_cells():
-        i = ids.id(cell)
+    for i in sorted(free):  # row-major order
         row = [(i, 1.0)]
-        for nxt in grid.neighbors(cell):
-            j = ids.id(nxt)
+        for _, d in ids.moves:
+            j = i + d
+            if j not in free:
+                continue
             if j > i:
                 noise = rng.gauss(0.0, sigma) if sigma > 0 else 0.0
                 w = max(EDGE_WEIGHT_FLOOR, 1.0 + noise)
-            else:  # drawn by `nxt`, earlier in row-major order
+            else:  # drawn by `j`, earlier in row-major order
                 w = next(cost for back, cost in moves[j] if back == i)
             row.append((j, w))
         moves[i] = tuple(row)
@@ -276,9 +278,11 @@ def execute_multihop(
 ) -> SimulationTrace:
     """Replay unit-step plans at per-agent speeds, counting sweep collisions.
 
-    Each tick an agent advances up to its incentive waypoints along its own
-    path. Collisions (shared entered cells, or an adjacent swap) are recorded
-    and the agents continue, so one trial can count several events.
+    Each tick until it arrives an agent advances up to its incentive
+    waypoints along its own path, so the trace renders its moves alone, no
+    wait among them. Collisions (shared entered cells, or an adjacent swap)
+    are recorded and the agents continue, so one trial can count several
+    events.
     """
     ids = sorted(paths)
     # each agent's trimmed path cut once into the cells it enters per tick
@@ -288,7 +292,7 @@ def execute_multihop(
         hops[aid] = [path[i + 1 : i + speed + 1] for i in range(0, len(path) - 1, speed)]
     pos = {aid: paths[aid][0] for aid in ids}
     collisions: list[tuple[int, Cell, tuple[int, ...]]] = []
-    lines: list[TraceLine] = []
+    moves: list[TraceLine] = []
     ticks = max((len(h) for h in hops.values()), default=0)
     for t in range(ticks):
         moving = [(aid, set(hops[aid][t])) for aid in ids if t < len(hops[aid])]
@@ -304,10 +308,10 @@ def execute_multihop(
         for aid, _ in moving:
             hop = hops[aid][t]
             pos[aid] = hop[-1]
-            lines.append(TraceLine(t, aid, *hop[-1], "path", len(hop), False))
+            moves.append(TraceLine(t, aid, *hop[-1], "path", len(hop), False))
     return SimulationTrace(
         arrival_times={aid: len(hops[aid]) for aid in ids},
-        lines=lines,
+        moves=moves,
         ticks=ticks,
         collisions=collisions,
     )

@@ -18,15 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import potential
 from .auction import AuctionOutcome, Bid, _settle, harmonic_schedule, run_auction
 from .world import UNREACHABLE, AgentState, Cell, CellIds, Scenario
 
 # Inside a trial a cell is its `world.CellIds` id and a move is (direction,
-# id offset, step); cells come back only in the trace lines, the auction log
-# and the configurations.
+# id offset, step); cells come back only in the trace's moves, the auction
+# log and the configurations.
 Move = tuple[str, int, int]
 WAIT: Move = ("wait", 0, 0)
 Proposals = dict[int, tuple[int, Move]]  # agent id -> (position, move) this tick
@@ -76,13 +76,17 @@ class TraceLine:
 
 @dataclass
 class SimulationTrace:
-    """One trial of either solver. `configurations`, `conflicts`, `deadlocked`
-    and `guard_waits` are the planner's, `collisions` the CBS replay's.
-    Conflicts with equal turn order share one read-only outcome and bids
-    dict, and `export_lines` joins the lines a tick at a time."""
+    """One trial of either solver. `moves` is the record: the executed moves,
+    by tick, then id. `lines` is its lazy rendering: one line per unarrived
+    agent per tick, a wait at its cell (from `starts` and its moves) where it
+    did not move; `export_lines` joins it a tick at a time. `configurations`,
+    `conflicts`, `deadlocked` and `guard_waits` are the planner's,
+    `collisions` the CBS replay's. Conflicts with equal turn order share one
+    read-only outcome and bids dict."""
 
     arrival_times: dict[int, Optional[int]]
-    lines: list[TraceLine] = field(default_factory=list)
+    moves: list[TraceLine] = field(default_factory=list)
+    starts: dict[int, Cell] = field(default_factory=dict)
     ticks: int = 0
     configurations: list[list[Cell]] = field(default_factory=list)
     conflicts: list[ResolvedConflict] = field(default_factory=list)
@@ -93,6 +97,24 @@ class SimulationTrace:
     @property
     def completed(self) -> bool:
         return None not in self.arrival_times.values()
+
+    @property
+    def lines(self) -> Iterator[TraceLine]:
+        """Built one line at a time, never as a list; all-wait ticks too."""
+        at = dict(self.starts)
+        moves = iter(self.moves)
+        move = next(moves, None)
+        agents = sorted(self.arrival_times.items())
+        for t in range(self.ticks):
+            for aid, arrived in agents:
+                if arrived is not None and arrived <= t:
+                    continue
+                if move is not None and move.tick == t and move.agent_id == aid:
+                    at[aid] = move.row, move.col
+                    yield move
+                    move = next(moves, None)
+                else:
+                    yield TraceLine(t, aid, *at[aid], "wait", 0, True)
 
     def export_lines(self) -> str:
         return "\n".join(
@@ -318,7 +340,7 @@ class _Trial:
         self.rng = random.Random(f"{scenario.seed}:{resolver}")
         self.configurations = [[a.pos for a in agents]]
         self.resolved: list[ResolvedConflict] = []
-        self.lines: list[TraceLine] = []
+        self.moves: list[TraceLine] = []
         self.orders: list[_ActiveOrder] = []
         self.contention_tick: dict[tuple[int, int], int] = {}
         self.stall = {a.id: 0 for a in agents}
@@ -427,7 +449,7 @@ class _Trial:
         """Safety pass, arrivals and order pruning; True if anyone moved."""
         t, cells, at, held, stall = self.t, self.ids.cells, self.at, self.held, self.stall
         arrival = self.arrival
-        line = self.lines.append
+        record = self.moves.append
         # executed sweeps must be pairwise disjoint
         taken = {pos for pos, move in proposals.values() if not move[2]}
         moved_any = False
@@ -446,7 +468,6 @@ class _Trial:
                     stall[aid] += 1
                 self.guard_waits += guarded
                 taken.add(pos)
-                line(TraceLine(t, aid, *cells[pos], "wait", 0, True))
                 continue
             taken.update(range(pos, end + d, d))
             # `_max_step` and `escape_move` keep sweeps on the grid
@@ -456,7 +477,7 @@ class _Trial:
             self.tabu[aid].append(pos)
             stall[aid] = 0
             moved_any = True
-            line(TraceLine(t, aid, *cells[end], direction, step, False))
+            record(TraceLine(t, aid, *cells[end], direction, step, False))
             if end == self.goal[aid]:
                 arrival[aid] = t + 1
 
@@ -520,7 +541,8 @@ def run_trial(
         configurations=trial.configurations,
         conflicts=trial.resolved,
         arrival_times=trial.arrival,
-        lines=trial.lines,
+        moves=trial.moves,
+        starts={a.id: a.pos for a in scenario.agents},
         ticks=trial.t,
         deadlocked=deadlocked,
         guard_waits=trial.guard_waits,

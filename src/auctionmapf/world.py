@@ -61,10 +61,6 @@ class GridWorld:
             if (r, c) not in self.obstacles
         ]
 
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        r, c = cell
-        return [nxt for _, dr, dc in MOVES if self.is_free(nxt := (r + dr, c + dc))]
-
 
 class CellIds:
     """Padded integer ids of one grid's cells: `(r + 1) * (W + 2) + (c + 1)`.

@@ -10,7 +10,9 @@ agent pair of a CBS plan in `(row, col)` cells, the edge-weight oracle
 draws CBS's noisy edge costs into a dict keyed by edge, the path-cost oracle
 re-adds a CBS path's edge weights step by step, the collision and
 sweep-bounds audits re-derive sweeps from a trace's raw lines, and the
-conflict-group oracle floods "shares a cell" between raw sweeps.
+conflict-group oracle floods "shares a cell" between raw sweeps, and
+`neighbors` lists a cell's free 4-neighbours by bounds checks, as the oracle
+for CBS's move table.
 
 The auction's closed forms live here too, as oracles for
 `auction._rank` and `auction._settle`: `allocate` (the q-th highest bid
@@ -67,6 +69,17 @@ def bfs_distances(grid, source):
                 values[nr][nc] = values[r][c] + 1
                 queue.append((nr, nc))
     return values
+
+
+def neighbors(grid, cell):
+    """The free 4-neighbours of `cell`, up, down, left, right, by bounds and
+    obstacle checks over `(row, col)` cells."""
+    r, c = cell
+    return [
+        (nr, nc)
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+        if 0 <= nr < grid.height and 0 <= nc < grid.width and (nr, nc) not in grid.obstacles
+    ]
 
 
 def _joint_successors(grid, positions, credits, goals, credit_cap):

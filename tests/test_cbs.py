@@ -26,6 +26,7 @@ from helpers import (
     first_conflict_oracle,
     joint_soc_dijkstra,
     joint_soc_oracle,
+    neighbors,
     path_cost,
     sample_edge_weights,
 )
@@ -261,7 +262,7 @@ def test_move_table_lists_wait_then_neighbors():
     for i, row in rows:
         cell = ids.cells[i]
         assert row[0] == (i, 1.0)
-        assert [ids.cells[j] for j, _ in row[1:]] == grid.neighbors(cell)
+        assert [ids.cells[j] for j, _ in row[1:]] == neighbors(grid, cell)
         assert all(w == weights[frozenset((cell, ids.cells[j]))] for j, w in row[1:])
 
 

@@ -40,6 +40,7 @@ from auctionmapf.world import (
 from helpers import (
     bfs_distances,
     dijkstra_distance_field,
+    neighbors,
     payment,
     sweep_bounds_violations,
     sweep_collisions,
@@ -128,7 +129,7 @@ def test_corner_moves_stay_on_the_grid(width, height):
                 cells = [ids.cells[pos + move[1] * k] for k in range(step + 1)]
                 assert cells == [(corner[0] + dr * k, corner[1] + dc * k) for k in range(step + 1)]
                 assert all(grid.is_free(cell) for cell in cells)
-            neighbours = {ids.id(cell) for cell in grid.neighbors(corner)}
+            neighbours = {ids.id(cell) for cell in neighbors(grid, corner)}
             assert escape_move(ids, field, pos, neighbours, []) == WAIT
 
 
@@ -137,7 +138,7 @@ def test_propose_moves_skips_arrived_agents():
     agents = [_agent(0, (0, 0), (0, 4), 2), _agent(1, (4, 4), (4, 4), 1)]
     trace = run_trial(Scenario(grid=grid, agents=agents, kind="custom"))
     assert {ln.agent_id for ln in trace.lines} == {0}
-    first = trace.lines[0]
+    first = next(trace.lines)
     assert (first.agent_id, first.direction, first.step) == (0, "right", 2)
 
 
@@ -379,7 +380,8 @@ def test_export_lines_matches_a_per_line_rendering():
     empty = SimulationTrace(arrival_times={})
     for trace in (planner, cbs, empty):
         assert trace.export_lines() == _rendered(trace)
-    assert planner.lines and cbs.lines and empty.export_lines() == ""
+    assert sum(1 for _ in planner.lines) > 0 and sum(1 for _ in cbs.lines) > 0
+    assert empty.export_lines() == ""
 
 
 def test_export_lines_peak_memory_stays_near_its_output():
@@ -387,7 +389,7 @@ def test_export_lines_peak_memory_stays_near_its_output():
     holds much more than its own output: a list of one string per line
     would peak at over four times it."""
     trace = run_trial(make_scenario("hallway", 20, 20, 50, gap_size=3, rng_seed=0))
-    assert len(trace.lines) == 89_190
+    assert sum(1 for _ in trace.lines) == 89_190
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -397,6 +399,59 @@ def test_export_lines_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(out)
+
+
+def test_a_long_hallway_trace_holds_its_moves_only():
+    """Hallway 20x20/50 seed 82 runs 1,885 ticks. Its trace keeps no wait
+    line and holds at most 9 MiB (11.97 MiB when every wait line was
+    stored), and its lines are rendered one at a time, never all at once."""
+    scenario = make_scenario("hallway", 20, 20, 50, gap_size=3, rng_seed=82)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_trial(scenario)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        count = sum(1 for _ in trace.lines)
+        rendering = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(not ln.waiting and ln.step > 0 for ln in trace.moves)
+    assert count == 69_926
+    assert held <= 9 * 2**20
+    assert rendering <= 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SCENARIO_KINDS),
+    st.integers(6, 10),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+def test_rendered_lines_agree_with_the_configurations(kind, size, n, gap, seed):
+    """The lines rendered from the moves, checked against the configurations
+    that the safety pass records on its own: each tick has one line per
+    unarrived agent, in id order, and none for an arrived one; a move line
+    holds the agent's cell after the tick, a wait line its cell before."""
+    try:
+        scenario = make_scenario(kind, size, size, n, gap_size=gap, incentive_range=(1, 4),
+                                 rng_seed=seed, n_obstacles=size)
+    except ScenarioError:
+        assume(False)
+    index = {a.id: k for k, a in enumerate(scenario.agents)}
+    for resolver in RESOLVERS:
+        trace = run_trial(scenario, resolver=resolver)
+        by_tick = {t: [] for t in range(trace.ticks)}
+        for ln in trace.lines:
+            by_tick[ln.tick].append(ln.agent_id)
+            config = trace.configurations[ln.tick if ln.waiting else ln.tick + 1]
+            assert (ln.row, ln.col) == config[index[ln.agent_id]]
+        for t, aids in by_tick.items():
+            assert aids == sorted(
+                aid for aid, at in trace.arrival_times.items() if at is None or at > t)
 
 
 def test_last_turn_agent_pays_nothing():
@@ -590,21 +645,27 @@ def test_invalid_arguments():
             run_trial(scenario, timeout=timeout)
 
 
-def _lines_trace(lines):
-    return SimulationTrace(arrival_times={}, lines=[TraceLine(*ln) for ln in lines], ticks=1)
+def _lines_trace(lines, starts, arrival_times):
+    """A trace that records the moves among `lines`; its rendering gives
+    back `lines` exactly, waits included."""
+    lines = [TraceLine(*ln) for ln in lines]
+    trace = SimulationTrace(arrival_times=arrival_times, starts=starts,
+                            moves=[ln for ln in lines if not ln.waiting], ticks=lines[-1].tick + 1)
+    assert list(trace.lines) == lines
+    return trace
 
 
 def test_sweep_audit_flags_swaps_and_pass_through():
     swap = _lines_trace([
         (0, 0, 0, 1, "right", 1, False),  # (0,0) -> (0,1)
         (0, 1, 0, 0, "left", 1, False),   # (0,1) -> (0,0)
-    ])
+    ], {0: (0, 0), 1: (0, 1)}, {0: None, 1: None})
     assert sweep_collisions(swap) == [(0, (0, 0), (0, 1)), (0, (0, 1), (0, 1))]
     through_waiter = _lines_trace([
-        (3, 0, 2, 3, "right", 3, False),  # sweeps (2,0)..(2,3)
-        (3, 1, 2, 1, "wait", 0, True),
-    ])
-    assert sweep_collisions(through_waiter) == [(3, (2, 1), (0, 1))]
+        (0, 0, 2, 3, "right", 3, False),  # sweeps (2,0)..(2,3)
+        (0, 1, 2, 1, "wait", 0, True),
+    ], {0: (2, 0), 1: (2, 1)}, {0: 1, 1: None})
+    assert sweep_collisions(through_waiter) == [(0, (2, 1), (0, 1))]
 
 
 def test_sweep_audit_frees_an_arrived_goal():
@@ -614,7 +675,7 @@ def test_sweep_audit_frees_an_arrived_goal():
         (0, 0, 0, 0, "wait", 0, True),
         (0, 1, 0, 2, "right", 1, False),
         (1, 0, 0, 3, "right", 3, False),
-    ])
+    ], {0: (0, 0), 1: (0, 1)}, {0: 2, 1: 1})
     assert sweep_collisions(trace) == []
 
 
@@ -626,7 +687,7 @@ def test_sweep_bounds_audit_flags_off_grid_and_obstacle_cells():
         (1, 0, -1, 3, "up", 1, False),    # leaves the grid at the top
         (1, 1, 1, 1, "right", 1, False),  # ends before the obstacle at (1,2)
         (2, 1, 1, 3, "right", 2, False),  # passes over the obstacle
-    ])
+    ], {0: (0, 1), 1: (1, 3)}, {0: 2, 1: None})
     assert sweep_bounds_violations(trace, grid) == [(1, 0, (-1, 3)), (2, 1, (1, 2))]
 
 

@@ -7,7 +7,7 @@ from auctionmapf.planner import run_trial
 from auctionmapf.potential import PotentialMap, build_potential_map
 from auctionmapf.world import _UNSEEN, UNREACHABLE, CellIds, GridWorld, make_scenario
 
-from helpers import bfs_distances, dijkstra_distance_field
+from helpers import bfs_distances, dijkstra_distance_field, neighbors
 
 
 def _values(grid, goal):
@@ -134,7 +134,7 @@ def test_monotone_descent_no_local_minima():
         for r, c in free:
             if (r, c) == goal or values[r][c] == UNREACHABLE:
                 continue
-            assert any(values[nr][nc] < values[r][c] for nr, nc in grid.neighbors((r, c)))
+            assert any(values[nr][nc] < values[r][c] for nr, nc in neighbors(grid, (r, c)))
 
 
 def test_goal_cell_is_zero_and_neighbors_increment():
@@ -144,7 +144,7 @@ def test_goal_cell_is_zero_and_neighbors_increment():
     for r, c in grid.free_cells():
         if (r, c) == (2, 3) or values[r][c] == UNREACHABLE:
             continue
-        assert values[r][c] == 1 + min(values[nr][nc] for nr, nc in grid.neighbors((r, c)))
+        assert values[r][c] == 1 + min(values[nr][nc] for nr, nc in neighbors(grid, (r, c)))
 
 
 def test_run_trial_builds_one_potential_per_agent(monkeypatch):
