@@ -191,6 +191,7 @@ def plan_cbs(
         raise ValueError("noise_sigma must be finite and >= 0")
     if not timeout > 0:
         raise ValueError("timeout must be > 0")
+    scenario.check_cells()
     # weights are independent of the variant so cbs and cbs-random face the
     # same perturbed costs; only the frontier tie-break differs
     rng = random.Random(f"{scenario.seed}:{variant}")
@@ -268,10 +269,6 @@ def path_time_to_goal(path: list[Cell]) -> int:
     return e
 
 
-def _trim(path: list[Cell]) -> list[Cell]:
-    return path[: path_time_to_goal(path) + 1]
-
-
 def execute_multihop(
     paths: dict[int, list[Cell]],
     incentives: dict[int, int],
@@ -288,7 +285,7 @@ def execute_multihop(
     # each agent's trimmed path cut once into the cells it enters per tick
     hops: dict[int, list[list[Cell]]] = {}
     for aid in ids:
-        path, speed = _trim(paths[aid]), incentives[aid]
+        path, speed = paths[aid][: path_time_to_goal(paths[aid]) + 1], incentives[aid]
         hops[aid] = [path[i + 1 : i + speed + 1] for i in range(0, len(path) - 1, speed)]
     pos = {aid: paths[aid][0] for aid in ids}
     collisions: list[tuple[int, Cell, tuple[int, ...]]] = []

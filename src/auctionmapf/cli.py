@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import harness
-from .auction import Bid, RewardSchedule, harmonic_schedule, run_auction
+from .auction import Bid, RewardSchedule, run_auction
 from .world import ScenarioError, grid_to_ascii, make_scenario, scenario_to_json
 
 EXIT_OK = 0
@@ -104,10 +104,7 @@ def _cmd_auction(args) -> int:
     # the bid and schedule checks or the auction itself is a config error
     try:
         bids = [Bid(i, amount) for i, amount in enumerate(_parse_fractions(args.bids))]
-        if args.schedule:
-            schedule = RewardSchedule(tuple(_parse_fractions(args.schedule)))
-        else:
-            schedule = harmonic_schedule(len(bids))
+        schedule = RewardSchedule(tuple(_parse_fractions(args.schedule))) if args.schedule else None
         outcome = run_auction(bids, schedule=schedule)
     except (ValueError, ZeroDivisionError) as exc:
         raise harness.ConfigError(f"auction demo: {exc}") from exc

@@ -23,7 +23,7 @@ from typing import Optional
 from . import cbs as cbs_mod
 from . import metrics as metrics_mod
 from . import planner as planner_mod
-from .auction import Bid, harmonic_schedule, sweep_utilities
+from .auction import Bid, sweep_utilities
 from .world import SCENARIO_KINDS, Scenario, make_scenario
 
 PLANNER_SOLVERS = planner_mod.RESOLVERS
@@ -31,9 +31,6 @@ CBS_SOLVERS = cbs_mod.CBS_VARIANTS
 ALL_SOLVERS = PLANNER_SOLVERS + CBS_SOLVERS
 
 SWEEP_FIELDS = ("n_agents", "gap_size", "n_obstacles", "none")
-
-OUTPUT_DIR_ENV = "AUCTIONMAPF_OUT_DIR"
-
 
 class ConfigError(ValueError):
     pass
@@ -173,7 +170,7 @@ def run_one_trial(cfg: ExperimentConfig, solver: str, kind: str, point: int, ind
 
 
 def _out_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> Path:
-    path = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.out_dir)
+    path = Path(out_dir or cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -227,11 +224,10 @@ def sweep_utility_experiment(
     scenario = build_scenario(cfg, kind, getattr(cfg, cfg.swept), seed)
     bids = [Bid(a.id, Fraction(a.incentive)) for a in scenario.agents]
     grid = [Fraction(i, 2) for i in range(4 * max(a.incentive for a in scenario.agents) + 1)]
-    schedule = harmonic_schedule(len(bids))
     rows = [
         (agent.id, float(agent.incentive), float(bid), float(util))
         for agent in scenario.agents
-        for bid, util in sweep_utilities(bids, agent.id, grid, schedule=schedule)
+        for bid, util in sweep_utilities(bids, agent.id, grid)
     ]
     (out_dir / "utility_curves.csv").write_text(metrics_mod.utility_curves_csv(rows))
     return rows

@@ -38,9 +38,6 @@ class TrialRecord:
     welfare: float
     total_payments: float
 
-    def csv_row(self) -> list:
-        return [_csv_field(getattr(self, name)) for name in TRIALS_COLUMNS]
-
 
 TRIALS_COLUMNS = [f.name for f in fields(TrialRecord)]
 AGGREGATE_METRICS = TRIALS_COLUMNS[TRIALS_COLUMNS.index("runtime_s"):]
@@ -137,15 +134,16 @@ def aggregate(
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Every cell through `_csv_field`, in every CSV the package writes."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(map(_csv_field, row) for row in rows)
     return buf.getvalue()
 
 
 def trials_csv(records: Iterable[TrialRecord]) -> str:
-    return _csv(TRIALS_COLUMNS, (rec.csv_row() for rec in records))
+    return _csv(TRIALS_COLUMNS, ([getattr(rec, k) for k in TRIALS_COLUMNS] for rec in records))
 
 
 def aggregates_csv(records: Sequence[AggregateRecord], group_by: Sequence[str]) -> str:
@@ -154,7 +152,7 @@ def aggregates_csv(records: Sequence[AggregateRecord], group_by: Sequence[str]) 
     rows = (
         [rec.group[k] for k in group_by]
         + [rec.count]
-        + [f"{v:.6f}" for metric in AGGREGATE_METRICS for v in rec.stats[metric]]
+        + [v for metric in AGGREGATE_METRICS for v in rec.stats[metric]]
         for rec in records
     )
     return _csv(header, rows)
@@ -162,8 +160,4 @@ def aggregates_csv(records: Sequence[AggregateRecord], group_by: Sequence[str]) 
 
 def utility_curves_csv(curves: Iterable[tuple[int, float, float, float]]) -> str:
     """Rows of (agent_id, true_value, bid, utility)."""
-    rows = (
-        [agent_id, f"{true_value:.6f}", f"{bid:.6f}", f"{util:.6f}"]
-        for agent_id, true_value, bid, util in curves
-    )
-    return _csv(UTILITY_CURVE_COLUMNS, rows)
+    return _csv(UTILITY_CURVE_COLUMNS, curves)

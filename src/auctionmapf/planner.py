@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from . import potential
-from .auction import AuctionOutcome, Bid, _settle, harmonic_schedule, run_auction
+from .auction import AuctionOutcome, Bid, harmonic_schedule, run_auction
 from .world import UNREACHABLE, AgentState, Cell, CellIds, Scenario
 
 # Inside a trial a cell is its `world.CellIds` id and a move is (direction,
@@ -279,15 +279,15 @@ def _resolve(
     contenders: list[AgentState],
     arrivals: dict[int, int],
     rng: random.Random,
-    settled: dict[tuple[int, ...], tuple],
+    settled: dict[tuple[int, ...], AuctionOutcome],
     outcomes: dict[tuple[int, ...], tuple[AuctionOutcome, dict[int, Fraction]]],
 ) -> tuple[AuctionOutcome, dict[int, Fraction]]:
-    """Turn order, and bids by id, for one conflict. The baselines charge
-    nothing: they settle as an auction in which every bid is zero. Under one
-    resolver, bids, payments, utilities and welfare by turn depend only on
-    the incentives in turn order: `settled` keeps them per incentive tuple,
-    so a trial settles each tuple once. Incentives are fixed within a trial,
-    so `outcomes` keeps the returned pair per ranked id tuple."""
+    """Turn order, and bids by id, for one conflict. Every resolver settles
+    through `run_auction`, the baselines with every bid zero. Payments,
+    utilities and welfare by turn depend only on the incentives in turn
+    order: `settled` keeps one outcome per incentive tuple, so a trial
+    settles each once. Incentives are fixed within a trial, so `outcomes`
+    keeps the returned pair per ranked id tuple."""
     if resolver == "auction":
         # `auction._rank`'s order: descending bid, then arrival, then id
         ranked = sorted(contenders, key=lambda a: (-a.incentive, arrivals[a.id], a.id))
@@ -301,18 +301,14 @@ def _resolve(
         return outcomes[ids]
     key = tuple(a.incentive for a in ranked)
     if key not in settled:
-        schedule = harmonic_schedule(len(key))
-        amounts = [Fraction(x) for x in key]
-        if resolver == "auction":
-            out = run_auction([Bid(i, x, arrivals[i]) for i, x in zip(ids, amounts)], schedule)
-            pays, utils = [out.payments[i] for i in ids], [out.utilities[i] for i in ids]
-            settled[key] = (amounts, pays, utils, out.welfare)
-        else:
-            settled[key] = (amounts, *_settle([Fraction(0)] * len(key), amounts, schedule.alphas))
-    amounts, pays, utils, welfare = settled[key]
+        # bidder q arrives at tick q, so the auction keeps the ranked order
+        bids = [Bid(q, x if resolver == "auction" else 0, q) for q, x in enumerate(key, 1)]
+        settled[key] = run_auction(bids, harmonic_schedule(len(key)), dict(enumerate(key, 1)))
+    out = settled[key]
     ordering = {aid: q for q, aid in enumerate(ids, start=1)}
-    outcome = AuctionOutcome(ordering, dict(zip(ids, pays)), dict(zip(ids, utils)), welfare)
-    outcomes[ids] = outcome, dict(sorted(zip(ids, amounts)))
+    outcome = AuctionOutcome(ordering, {aid: out.payments[q] for aid, q in ordering.items()},
+                             {aid: out.utilities[q] for aid, q in ordering.items()}, out.welfare)
+    outcomes[ids] = outcome, {aid: Fraction(x) for aid, x in sorted(zip(ids, key))}
     return outcomes[ids]
 
 
@@ -321,7 +317,8 @@ class _Trial:
     execute and stop. The scenario's agents are read, never written: `at`
     holds each agent's cell id, `goal` its goal's id, `fields` its goal's
     potential by id and `arrival` its arrival tick (None until it arrives);
-    `occupied` and `held` belong to the current tick."""
+    `occupied` and `held` belong to the current tick. The trial writes its
+    moves, configurations, conflicts and guard waits into `trace`."""
 
     def __init__(self, scenario: Scenario, resolver: str):
         grid = scenario.grid
@@ -335,12 +332,11 @@ class _Trial:
         self.at = {a.id: ids.id(a.pos) for a in agents}
         self.goal = {a.id: ids.id(a.goal) for a in agents}
         self.arrival = {a.id: 0 if a.pos == a.goal else None for a in agents}
-        self.settled: dict[tuple[int, ...], tuple] = {}
+        self.trace = SimulationTrace(self.arrival, starts={a.id: a.pos for a in agents},
+                                     configurations=[[a.pos for a in agents]])
+        self.settled: dict[tuple[int, ...], AuctionOutcome] = {}
         self.outcomes: dict[tuple[int, ...], tuple[AuctionOutcome, dict[int, Fraction]]] = {}
         self.rng = random.Random(f"{scenario.seed}:{resolver}")
-        self.configurations = [[a.pos for a in agents]]
-        self.resolved: list[ResolvedConflict] = []
-        self.moves: list[TraceLine] = []
         self.orders: list[_ActiveOrder] = []
         self.contention_tick: dict[tuple[int, int], int] = {}
         self.stall = {a.id: 0 for a in agents}
@@ -355,7 +351,6 @@ class _Trial:
         self.best_remaining = math.inf
         self.last_improvement = 0
         self.idle_ticks = 0
-        self.guard_waits = 0
         self.t = 0
 
     def propose(self, active: list[AgentState]) -> Proposals:
@@ -433,7 +428,7 @@ class _Trial:
                     holders={aid: t + q - 1 for aid, q in ordering.ordering.items()},
                 )
             )
-            self.resolved.append(
+            self.trace.conflicts.append(
                 ResolvedConflict(t, self.ids.cells[conflict.cell], in_id_order, bids, ordering))
             for aid, q in ordering.ordering.items():
                 pos, move = proposals[aid]
@@ -449,7 +444,8 @@ class _Trial:
         """Safety pass, arrivals and order pruning; True if anyone moved."""
         t, cells, at, held, stall = self.t, self.ids.cells, self.at, self.held, self.stall
         arrival = self.arrival
-        record = self.moves.append
+        trace = self.trace
+        record = trace.moves.append
         # executed sweeps must be pairwise disjoint
         taken = {pos for pos, move in proposals.values() if not move[2]}
         moved_any = False
@@ -466,7 +462,7 @@ class _Trial:
                 # a held agent waiting its turn is not stalled
                 if guarded or aid not in held:
                     stall[aid] += 1
-                self.guard_waits += guarded
+                trace.guard_waits += guarded
                 taken.add(pos)
                 continue
             taken.update(range(pos, end + d, d))
@@ -481,7 +477,7 @@ class _Trial:
             if end == self.goal[aid]:
                 arrival[aid] = t + 1
 
-        self.configurations.append([cells[p] for p in at.values()])  # in scenario order
+        trace.configurations.append([cells[p] for p in at.values()])  # in scenario order
 
         for order in list(self.orders):
             order.holders = {
@@ -520,9 +516,9 @@ def run_trial(
         raise ValueError(f"resolver must be one of {RESOLVERS}")
     if not (timeout is None or timeout >= 0):  # NaN fails too
         raise ValueError("timeout must be None or >= 0")
-
+    scenario.check_cells()
     trial = _Trial(scenario, resolver)
-    deadlocked = False
+    trace = trial.trace
     start_time = _time.monotonic()
     while trial.t < trial.tick_limit:
         active = [a for a in trial.agents if trial.arrival[a.id] is None]
@@ -532,18 +528,9 @@ def run_trial(
             break
         proposals = trial.propose(active)
         trial.resolve(proposals)
-        deadlocked = trial.stop(trial.execute(proposals))
+        trace.deadlocked = trial.stop(trial.execute(proposals))
         trial.t += 1
-        if deadlocked:
+        if trace.deadlocked:
             break
-
-    return SimulationTrace(
-        configurations=trial.configurations,
-        conflicts=trial.resolved,
-        arrival_times=trial.arrival,
-        moves=trial.moves,
-        starts={a.id: a.pos for a in scenario.agents},
-        ticks=trial.t,
-        deadlocked=deadlocked,
-        guard_waits=trial.guard_waits,
-    )
+    trace.ticks = trial.t
+    return trace

@@ -140,9 +140,16 @@ class Scenario:
     n_obstacles: int = 0
     seed: int = 0
 
+    def check_cells(self) -> None:
+        """Raise ScenarioError for an agent whose start or goal is not a free cell."""
+        for a in self.agents:
+            if not self.grid.is_free(a.pos) or not self.grid.is_free(a.goal):
+                raise ScenarioError(f"agent {a.id} start/goal on obstacle or outside grid")
+
     def validate(self) -> None:
         if not self.agents:
             raise ScenarioError("need at least one agent")
+        self.check_cells()
         starts = [a.pos for a in self.agents]
         goals = [a.goal for a in self.agents]
         if len(set(starts)) != len(starts):
@@ -154,8 +161,6 @@ class Scenario:
         ids = CellIds(self.grid)
         fields: list[list[int]] = []
         for a in self.agents:
-            if not self.grid.is_free(a.pos) or not self.grid.is_free(a.goal):
-                raise ScenarioError(f"agent {a.id} start/goal on obstacle or outside grid")
             goal = ids.id(a.goal)
             field = next((f for f in fields if f[goal] != UNREACHABLE), None)
             if field is None:

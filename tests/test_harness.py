@@ -479,13 +479,6 @@ def test_cli_unknown_subcommand():
     assert cli(["frobnicate"]) == EXIT_CONFIG
 
 
-def test_output_dir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("AUCTIONMAPF_OUT_DIR", str(tmp_path / "env-out"))
-    cfg = parse_config("kind = doorway\nn_agents = 2\ntrials = 1\n")
-    run_experiment(cfg)
-    assert (tmp_path / "env-out" / "trials.csv").exists()
-
-
 def test_config_validation_direct():
     cfg = ExperimentConfig(trials=0)
     with pytest.raises(ConfigError):

@@ -171,6 +171,18 @@ def test_aggregates_csv_reports_completion_rate_and_payments():
     ]
 
 
+def test_aggregates_csv_writes_a_bool_group_key_as_trials_csv_does():
+    """Grouped by `completed`, the key column reads 0 and 1, as the
+    `completed` column of trials.csv does, never False and True."""
+    records = [
+        score_trial(_trace({0: t}), _scenario([1]), 0.0, "auction") for t in (3, None, 4)
+    ]
+    text = aggregates_csv(aggregate(records, group_by=("completed",)), ("completed",))
+    assert [(row["completed"], row["count"]) for row in csv.DictReader(io.StringIO(text))] == [
+        ("0", "1"), ("1", "2")]
+    assert {row.split(",")[7] for row in trials_csv(records).splitlines()[1:]} == {"0", "1"}
+
+
 def test_utility_curves_csv_schema():
     text = utility_curves_csv([(0, 3.0, 2.5, 1.25)])
     lines = text.splitlines()

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from auctionmapf.auction import Bid, harmonic_schedule, run_auction
-from auctionmapf.cbs import run_cbs_trial
+from auctionmapf.cbs import plan_cbs, run_cbs_trial
 from auctionmapf.planner import (
     RESOLVERS,
     WAIT,
@@ -643,6 +643,48 @@ def test_invalid_arguments():
     for timeout in (float("nan"), -1.0):
         with pytest.raises(ValueError):
             run_trial(scenario, timeout=timeout)
+
+
+# agent 0's (start, goal) on a 5x5 grid with an obstacle at (2, 2): off the
+# grid, where the padded id of (0, 7) is that of (1, 0), or on the obstacle
+@pytest.mark.parametrize("start, goal", [
+    ((0, 7), (4, 4)), ((2, 2), (4, 4)), ((0, 0), (7, 0)), ((0, 0), (2, 2))])
+@pytest.mark.parametrize("solve", [run_trial, plan_cbs])
+def test_starts_and_goals_off_the_free_cells_are_rejected(solve, start, goal):
+    """Both solvers refuse a hand-built scenario that `Scenario.validate`
+    would refuse for the same agent, rather than planning from another cell."""
+    grid = GridWorld(5, 5, frozenset({(2, 2)}))
+    agents = [AgentState(0, start, goal, 2), AgentState(1, (4, 0), (0, 4), 1)]
+    with pytest.raises(ScenarioError, match="agent 0 start/goal"):
+        solve(Scenario(grid=grid, agents=agents, kind="custom"))
+
+
+@pytest.mark.parametrize("resolver", RESOLVERS)
+def test_each_incentive_tuple_settles_in_one_run_auction_call(resolver, monkeypatch):
+    """Every resolver settles through `planner.run_auction`, exactly once per
+    distinct incentive tuple of its log taken as bids in turn order. The
+    auction bids those incentives; the baselines bid zero, with the
+    incentives as true values."""
+    calls = []
+
+    def counted(bids, schedule=None, true_values=None):
+        out = run_auction(bids, schedule, true_values)
+        calls.append((bids, true_values, out))
+        return out
+
+    monkeypatch.setattr("auctionmapf.planner.run_auction", counted)
+    scenario = make_scenario("hallway", 20, 20, 50, gap_size=3, rng_seed=21)
+    trace = run_trial(scenario, resolver=resolver)
+    logged = [tuple(rc.bids[aid] for aid in rc.ordering.turn_order()) for rc in trace.conflicts]
+    assert len(set(logged)) > 1
+    settled = []
+    for bids, true_values, out in calls:
+        amounts = {b.agent_id: b.amount for b in bids}
+        values = amounts if true_values is None else true_values
+        assert all(amounts[aid] == (values[aid] if resolver == "auction" else 0)
+                   for aid in amounts)
+        settled.append(tuple(values[aid] for aid in out.turn_order()))
+    assert sorted(settled) == sorted(set(logged))
 
 
 def _lines_trace(lines, starts, arrival_times):
