@@ -26,7 +26,7 @@ class PotentialMap:
 
 
 def build_potential_map(ids: CellIds, goal: Cell) -> PotentialMap:
-    # hand-built scenarios reach the planner without Scenario.validate
+    # for direct callers: an id off the grid can wrap into another row
     if not ids.grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell")
     return PotentialMap(ids.flood(ids.id(goal)), ids.stride)
