@@ -21,6 +21,10 @@ from .planner import SimulationTrace, TraceLine
 from .world import Cell, CellIds, GridWorld, Scenario
 
 EDGE_WEIGHT_FLOOR = 0.01
+# a gauss draw lies within 9 standard deviations (random() has 53 bits), so
+# every edge weight stays below 1e7 and every path cost far below overflow;
+# at sigma 1e308 a weight is inf and no path has a finite cost
+MAX_NOISE_SIGMA = 1e6
 DEFAULT_TIMEOUT = 20.0
 CBS_VARIANTS = ("cbs", "cbs-random")
 
@@ -187,8 +191,8 @@ def plan_cbs(
     if variant not in CBS_VARIANTS:
         raise ValueError(f"variant must be one of {CBS_VARIANTS}")
     # chained or negated so that NaN fails them too
-    if not 0 <= noise_sigma < float("inf"):
-        raise ValueError("noise_sigma must be finite and >= 0")
+    if not 0 <= noise_sigma <= MAX_NOISE_SIGMA:
+        raise ValueError(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}]")
     if not timeout > 0:
         raise ValueError("timeout must be > 0")
     scenario.check_cells()

@@ -101,19 +101,22 @@ def _parse_fractions(text: str) -> list[Fraction]:
 
 def _cmd_auction(args) -> int:
     # every input comes from the command line, so a rejection by the parse,
-    # the bid and schedule checks or the auction itself is a config error
+    # the bid and schedule checks, the auction or the rendering (str() past
+    # Python's 4,300-digit limit) is a config error; nothing prints before it
     try:
         bids = [Bid(i, amount) for i, amount in enumerate(_parse_fractions(args.bids))]
         schedule = RewardSchedule(tuple(_parse_fractions(args.schedule))) if args.schedule else None
         outcome = run_auction(bids, schedule=schedule)
+        lines = [
+            f"turn order (agent ids): {outcome.turn_order()}",
+            f"turns: { {aid: outcome.ordering[aid] for aid in sorted(outcome.ordering)} }",
+            f"payments: { {aid: str(outcome.payments[aid]) for aid in sorted(outcome.payments)} }",
+            f"utilities: { {aid: str(outcome.utilities[aid]) for aid in sorted(outcome.utilities)} }",
+            f"welfare: {outcome.welfare}",
+        ]
     except (ValueError, ZeroDivisionError) as exc:
         raise harness.ConfigError(f"auction demo: {exc}") from exc
-    order = outcome.turn_order()
-    print("turn order (agent ids):", order)
-    print("turns:", {aid: outcome.ordering[aid] for aid in sorted(outcome.ordering)})
-    print("payments:", {aid: str(outcome.payments[aid]) for aid in sorted(outcome.payments)})
-    print("utilities:", {aid: str(outcome.utilities[aid]) for aid in sorted(outcome.utilities)})
-    print("welfare:", str(outcome.welfare))
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -62,8 +62,8 @@ class ExperimentConfig:
         # written as chained comparisons so that NaN fails them too
         if not 0 < self.timeout < inf:
             raise ConfigError("timeout must be positive and finite")
-        if not 0 <= self.noise_sigma < inf:
-            raise ConfigError("noise_sigma must be finite and >= 0")
+        if not 0 <= self.noise_sigma <= cbs_mod.MAX_NOISE_SIGMA:
+            raise ConfigError(f"noise_sigma must be in [0, {cbs_mod.MAX_NOISE_SIGMA:g}]")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.sweep not in SWEEP_FIELDS:

@@ -318,8 +318,9 @@ def grid_to_ascii(grid: GridWorld) -> str:
     return "\n".join(rows)
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
+def scenario_to_json(scenario: Scenario) -> str:
+    """What `scenario gen` prints."""
+    data = {
         "kind": scenario.kind,
         "width": scenario.grid.width,
         "height": scenario.grid.height,
@@ -332,68 +333,4 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             for a in scenario.agents
         ],
     }
-
-
-def _checked(value, what: str, *types: type):
-    # exact types, so a bool is not taken for an int
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise ScenarioError(f"{what} must be {names}, not {value!r}")
-    return value
-
-
-def _cell(value, what: str) -> Cell:
-    if type(value) not in (list, tuple) or len(value) != 2:
-        raise ScenarioError(f"{what} must be a [row, col] pair, not {value!r}")
-    return (_checked(value[0], what, int), _checked(value[1], what, int))
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    """Inverse of scenario_to_dict. A missing or wrongly typed field raises
-    ScenarioError, as does a scenario that fails validation."""
-    _checked(data, "scenario", dict)
-    try:
-        obstacles = _checked(data.get("obstacles", []), "obstacles", list, tuple)
-        grid = GridWorld(
-            width=_checked(data["width"], "width", int),
-            height=_checked(data["height"], "height", int),
-            obstacles=frozenset(_cell(c, "obstacle") for c in obstacles),
-        )
-        agents = []
-        for i, a in enumerate(_checked(data["agents"], "agents", list, tuple)):
-            _checked(a, f"agent {i}", dict)
-            incentive = a["incentive"]
-            if type(incentive) is not int or incentive < 1:
-                raise ScenarioError(f"agent {i} incentive must be an integer >= 1, not {incentive!r}")
-            agents.append(
-                AgentState(
-                    id=i,
-                    pos=_cell(a["start"], f"agent {i} start"),
-                    goal=_cell(a["goal"], f"agent {i} goal"),
-                    incentive=incentive,
-                )
-            )
-    except KeyError as exc:
-        raise ScenarioError(f"scenario is missing key {exc}") from None
-    scenario = Scenario(
-        grid=grid,
-        agents=agents,
-        kind=_checked(data.get("kind", "custom"), "kind", str),
-        gap_size=_checked(data.get("gap_size", 1), "gap_size", int),
-        n_obstacles=_checked(data.get("n_obstacles", 0), "n_obstacles", int),
-        seed=_checked(data.get("seed", 0), "seed", int),
-    )
-    scenario.validate()
-    return scenario
-
-
-def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)
-
-
-def scenario_from_json(text: str) -> Scenario:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not JSON: {exc}") from None
-    return scenario_from_dict(data)
+    return json.dumps(data, indent=2, sort_keys=True)

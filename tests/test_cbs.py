@@ -218,9 +218,13 @@ def test_invalid_arguments():
     scenario = make_scenario("doorway", 8, 8, 2, gap_size=1, rng_seed=0)
     with pytest.raises(ValueError):
         plan_cbs(scenario, variant="cbs-greedy")
-    for sigma in (-0.1, float("nan"), float("inf")):
+    for sigma in (-0.1, float("nan"), float("inf"), 1e308):
         with pytest.raises(ValueError):
             plan_cbs(scenario, noise_sigma=sigma)
+    # at the largest sigma every weight and cost stays finite
+    for seed in range(5):
+        spread = make_scenario("intersection", 11, 11, 3, gap_size=3, rng_seed=seed)
+        assert math.isfinite(plan_cbs(spread, noise_sigma=cbs.MAX_NOISE_SIGMA).cost)
     # a deadline must lie in the future; inf means none
     for timeout in (0, -1, float("nan")):
         with pytest.raises(ValueError):

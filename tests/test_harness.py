@@ -25,7 +25,7 @@ from auctionmapf.harness import (
     trial_seed,
 )
 from auctionmapf.metrics import TRIALS_COLUMNS
-from auctionmapf.world import grid_to_ascii, scenario_from_json
+from auctionmapf.world import grid_to_ascii, make_scenario, scenario_to_json
 
 
 SMALL_CONFIG = """
@@ -71,6 +71,7 @@ BAD_CBS_LINES = (
     "noise_sigma = -1",
     "noise_sigma = nan",
     "noise_sigma = inf",
+    "noise_sigma = 1e308",  # finite, but an edge weight would overflow to inf
     "timeout = nan",
     "timeout = inf",
 )
@@ -290,8 +291,10 @@ def test_cli_auction_demo(capsys):
 
 
 def _one_error_line(capsys, prefix):
-    """The CLI reported one line on stderr, starting with `prefix`: no traceback."""
-    err = capsys.readouterr().err
+    """The CLI reported one line on stderr, starting with `prefix`: no
+    traceback, and nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert out == "", out
     assert err.startswith(prefix) and err.count("\n") == 1, err
     return err
 
@@ -304,6 +307,9 @@ def test_cli_auction_demo_bad_bids(capsys):
         ["--bids", "3,2,1", "--schedule", "1,1/2"],
         ["--bids", "3,2", "--schedule", "1/2,1"],
         ["--bids", "1/0,2"],
+        # a payment or utility past Python's 4,300-digit str() limit
+        ["--bids", "1e5000,1"],
+        ["--bids", "7,4", "--schedule", "1,1e-5000"],
     ):
         assert cli(["auction", "demo", *argv]) == EXIT_CONFIG, argv
         _one_error_line(capsys, "config error: ")
@@ -312,8 +318,7 @@ def test_cli_auction_demo_bad_bids(capsys):
 
 def test_cli_scenario_show(capsys):
     flags = ["doorway", "--gap", "1", "--agents", "3", "--seed", "5"]
-    assert cli(["scenario", "gen", *flags]) == EXIT_OK
-    scenario = scenario_from_json(capsys.readouterr().out)
+    scenario = make_scenario("doorway", 10, 10, 3, gap_size=1, rng_seed=5)
     assert cli(["scenario", "show", *flags]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     ascii_rows = grid_to_ascii(scenario.grid).splitlines()
@@ -324,10 +329,18 @@ def test_cli_scenario_show(capsys):
 
 
 def test_cli_scenario_gen_emits_json(capsys):
-    assert cli(["scenario", "gen", "doorway", "--agents", "3", "--seed", "5"]) == EXIT_OK
-    data = json.loads(capsys.readouterr().out)
-    assert data["kind"] == "doorway"
-    assert len(data["agents"]) == 3
+    flags = ["--width", "9", "--height", "7", "--agents", "3", "--gap", "2", "--seed", "5"]
+    assert cli(["scenario", "gen", "hallway", *flags]) == EXIT_OK
+    out = capsys.readouterr().out
+    scenario = make_scenario("hallway", 9, 7, 3, gap_size=2, rng_seed=5)
+    assert out == scenario_to_json(scenario) + "\n"
+    data = json.loads(out)
+    assert data["kind"] == "hallway"
+    assert (data["width"], data["height"]) == (9, 7)
+    assert data["obstacles"] == sorted([list(c) for c in scenario.grid.obstacles])
+    assert [(tuple(a["start"]), tuple(a["goal"]), a["incentive"]) for a in data["agents"]] == [
+        (a.pos, a.goal, a.incentive) for a in scenario.agents
+    ]
 
 
 def test_cli_scenario_error(capsys):

@@ -1,9 +1,6 @@
 import hashlib
-import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from auctionmapf.world import (
     MOVES,
@@ -15,9 +12,6 @@ from auctionmapf.world import (
     UNREACHABLE,
     grid_to_ascii,
     make_scenario,
-    scenario_from_dict,
-    scenario_from_json,
-    scenario_to_dict,
     scenario_to_json,
 )
 
@@ -200,102 +194,6 @@ def test_scenario_validation_rejects_unreachable_goal():
 def test_ascii_round_trip():
     grid = GridWorld(3, 3, frozenset({(0, 2), (1, 0)}))
     assert grid_to_ascii(grid) == "..#\n#..\n..."
-
-
-def test_json_round_trip():
-    scenario = make_scenario("doorway", 10, 10, 3, gap_size=2, rng_seed=9)
-    restored = scenario_from_json(scenario_to_json(scenario))
-    assert restored.grid == scenario.grid
-    assert [(a.pos, a.goal, a.incentive) for a in restored.agents] == [
-        (a.pos, a.goal, a.incentive) for a in scenario.agents
-    ]
-
-
-def test_scenario_from_dict_rejects_malformed_input():
-    good = scenario_to_dict(make_scenario("doorway", 10, 10, 3, gap_size=2, rng_seed=9))
-    for key in ("width", "height", "agents"):
-        data = {k: v for k, v in good.items() if k != key}
-        with pytest.raises(ScenarioError, match=f"missing key '{key}'"):
-            scenario_from_dict(data)
-    data = json.loads(json.dumps(good))
-    del data["agents"][1]["goal"]
-    with pytest.raises(ScenarioError, match="missing key 'goal'"):
-        scenario_from_dict(data)
-    for bad in ("2", 1.5, None, True, 0):
-        data = json.loads(json.dumps(good))
-        data["agents"][2]["incentive"] = bad
-        with pytest.raises(ScenarioError, match="agent 2 incentive"):
-            scenario_from_dict(data)
-    wrongly_typed = [
-        (("width",), "10", "width must be int"),
-        (("agents", 0, "start"), [1], "agent 0 start must be a"),
-        (("agents",), None, "agents must be list"),
-        (("agents",), [], "need at least one agent"),
-        (("obstacles", 0), 5, "obstacle must be a"),
-        (("agents", 1, "goal", 0), 1.0, "agent 1 goal must be int"),
-        (("agents", 1), [0, 9], "agent 1 must be dict"),
-        (("kind",), 3, "kind must be str"),
-        (("seed",), "0", "seed must be int"),
-    ]
-    for path, bad, message in wrongly_typed:
-        data = json.loads(json.dumps(good))
-        _set(data, path, bad)
-        with pytest.raises(ScenarioError, match=message):
-            scenario_from_dict(data)
-    with pytest.raises(ScenarioError, match="scenario must be dict"):
-        scenario_from_dict([good])
-    with pytest.raises(ScenarioError, match="scenario is not JSON"):
-        scenario_from_json("{")
-
-
-def _set(data, path, value):
-    *parents, last = path
-    for key in parents:
-        data = data[key]
-    if value is _DELETE:
-        del data[last]
-    else:
-        data[last] = value
-
-
-def _field_paths(node, path=()):
-    """The key path of every field in a scenario dict, nested ones included."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, child in items:
-        yield path + (key,)
-        yield from _field_paths(child, path + (key,))
-
-
-_DELETE = object()
-_FUZZ_BASE = scenario_to_dict(make_scenario("doorway", 6, 6, 3, gap_size=2, rng_seed=9))
-# integers stay small, so a mutated width or height cannot ask for a huge grid
-_JUNK = st.one_of(
-    st.just(_DELETE),
-    st.none(),
-    st.booleans(),
-    st.integers(-3, 12),
-    st.floats(),
-    st.text(max_size=3),
-    st.lists(st.one_of(st.integers(-3, 12), st.floats(), st.none()), max_size=3),
-    st.dictionaries(st.text(max_size=2), st.integers(-3, 12), max_size=2),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(list(_field_paths(_FUZZ_BASE))), _JUNK)
-def test_scenario_from_dict_fuzz_raises_only_scenario_error(path, value):
-    data = json.loads(json.dumps(_FUZZ_BASE))
-    _set(data, path, value)
-    try:
-        scenario = scenario_from_dict(data)
-    except ScenarioError:
-        return
-    scenario.validate()
 
 
 def test_bfs_distance_basics():
