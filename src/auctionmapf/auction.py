@@ -79,9 +79,15 @@ class AuctionOutcome:
         return [aid for aid, _ in sorted(self.ordering.items(), key=lambda kv: kv[1])]
 
 
+def turn_key(amount, arrival: int, agent_id: int) -> tuple:
+    """Turn order, also of the planner's auction and fifo (bidding zero)
+    resolvers: descending amount, then earlier arrival, then lower id."""
+    return (-amount, arrival, agent_id)
+
+
 def _rank(bids: Sequence[Bid]) -> list[Bid]:
-    """Bids in turn order: descending amount, then earlier arrival, then lower id."""
-    return sorted(bids, key=lambda b: (-b.amount, b.arrival, b.agent_id))
+    """Bids in turn order."""
+    return sorted(bids, key=lambda b: turn_key(b.amount, b.arrival, b.agent_id))
 
 
 def _settle(

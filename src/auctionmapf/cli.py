@@ -31,9 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("config")
     run_p.add_argument("--out", help="output directory (overrides config)")
-    run_p.add_argument("--jobs", type=int, help="parallel trial workers")
-    run_p.add_argument("--trials", type=int, help="override trials per point")
-    run_p.add_argument("--timeout", type=float, help="override seconds per CBS plan")
 
     scen_p = sub.add_parser("scenario", help="generate or display scenarios")
     scen_p.add_argument("action", choices=["gen", "show"])
@@ -58,19 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str, args) -> harness.ExperimentConfig:
+def _load_config(path: str) -> harness.ExperimentConfig:
     with open(path) as fh:
-        cfg = harness.parse_config(fh.read())
-    # an override of 0 is applied too, so validation rejects it
-    for key in ("trials", "timeout", "jobs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+        return harness.parse_config(fh.read())
 
 
 def _cmd_run(args) -> int:
-    records = harness.run_experiment(_load_config(args.config, args), out_dir=args.out)
+    records = harness.run_experiment(_load_config(args.config), out_dir=args.out)
     print(f"wrote {len(records)} trial records")
     return EXIT_OK
 
@@ -100,13 +91,15 @@ def _parse_fractions(text: str) -> list[Fraction]:
 
 
 def _cmd_auction(args) -> int:
-    # every input comes from the command line, so a rejection by the parse,
-    # the bid and schedule checks, the auction or the rendering (str() past
-    # Python's 4,300-digit limit) is a config error; nothing prints before it
+    # every input comes from the command line, so a rejection by the parse, the
+    # checks, the auction or the rendering is a config error; nothing prints before it
     try:
         bids = [Bid(i, amount) for i, amount in enumerate(_parse_fractions(args.bids))]
         schedule = RewardSchedule(tuple(_parse_fractions(args.schedule))) if args.schedule else None
         outcome = run_auction(bids, schedule=schedule)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise harness.ConfigError(f"auction demo: {exc}") from exc
+    try:
         lines = [
             f"turn order (agent ids): {outcome.turn_order()}",
             f"turns: { {aid: outcome.ordering[aid] for aid in sorted(outcome.ordering)} }",
@@ -114,14 +107,15 @@ def _cmd_auction(args) -> int:
             f"utilities: { {aid: str(outcome.utilities[aid]) for aid in sorted(outcome.utilities)} }",
             f"welfare: {outcome.welfare}",
         ]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise harness.ConfigError(f"auction demo: {exc}") from exc
+    except ValueError as exc:  # str() past Python's 4,300-digit limit
+        raise harness.ConfigError("auction demo: a result has more digits than Python"
+                                  " prints; use shorter bids or schedule values") from exc
     print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_sweep_utility(args) -> int:
-    rows = harness.sweep_utility_experiment(_load_config(args.config, args), out_dir=args.out)
+    rows = harness.sweep_utility_experiment(_load_config(args.config), out_dir=args.out)
     print(f"wrote {len(rows)} utility-curve points")
     return EXIT_OK
 

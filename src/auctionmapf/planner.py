@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from . import potential
-from .auction import AuctionOutcome, Bid, harmonic_schedule, run_auction
+from .auction import AuctionOutcome, Bid, harmonic_schedule, run_auction, turn_key
 from .world import UNREACHABLE, AgentState, Cell, CellIds, Scenario
 
 # Inside a trial a cell is its `world.CellIds` id and a move is (direction,
@@ -288,21 +288,20 @@ def _resolve(
     order: `settled` keeps one outcome per incentive tuple, so a trial
     settles each once. Incentives are fixed within a trial, so `outcomes`
     keeps the returned pair per ranked id tuple."""
-    if resolver == "auction":
-        # `auction._rank`'s order: descending bid, then arrival, then id
-        ranked = sorted(contenders, key=lambda a: (-a.incentive, arrivals[a.id], a.id))
-    elif resolver == "random-ordering":
+    bidding = resolver == "auction"  # the baselines bid zero
+    if resolver == "random-ordering":
         ranked = sorted(contenders, key=lambda a: a.id)
         rng.shuffle(ranked)
-    else:  # fifo; run_trial has checked the resolver name
-        ranked = sorted(contenders, key=lambda a: (arrivals[a.id], a.id))
+    else:  # auction, or fifo; run_trial has checked the name
+        ranked = sorted(contenders, key=lambda a: turn_key(
+            a.incentive if bidding else 0, arrivals[a.id], a.id))
     ids = tuple(a.id for a in ranked)
     if ids in outcomes:
         return outcomes[ids]
     key = tuple(a.incentive for a in ranked)
     if key not in settled:
         # bidder q arrives at tick q, so the auction keeps the ranked order
-        bids = [Bid(q, x if resolver == "auction" else 0, q) for q, x in enumerate(key, 1)]
+        bids = [Bid(q, x if bidding else 0, q) for q, x in enumerate(key, 1)]
         settled[key] = run_auction(bids, harmonic_schedule(len(key)), dict(enumerate(key, 1)))
     out = settled[key]
     ordering = {aid: q for q, aid in enumerate(ids, start=1)}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from auctionmapf.auction import Bid, harmonic_schedule, run_auction
+from auctionmapf.auction import Bid, _rank, harmonic_schedule, run_auction
 from auctionmapf.cbs import plan_cbs, run_cbs_trial
 from auctionmapf.planner import (
     RESOLVERS,
@@ -594,9 +594,27 @@ def test_running_stalemate_sum_matches_distance_oracle(seed):
     assert (trial.remaining == 0) == (None not in trial.arrival.values())
 
 
-def test_fifo_orders_by_arrival_then_id():
-    scenario = make_scenario("doorway", 10, 10, 4, gap_size=1, rng_seed=5)
-    trace = run_trial(scenario, resolver="fifo")
+@pytest.mark.parametrize("resolver", ["fifo", "auction"])
+def test_fifo_orders_by_arrival_then_id(resolver):
+    """Every logged conflict's turn order is `auction._rank`'s, over bids of
+    zero (fifo) or of each incentive (auction). An agent's arrival is rebuilt
+    from the log alone: the first tick it was logged at that cell."""
+    scenario = make_scenario("hallway", 10, 10, 6, gap_size=1, rng_seed=5)
+    incentive = {a.id: a.incentive for a in scenario.agents}
+    trace = run_trial(scenario, resolver=resolver)
+    arrival = {}
+    for rc in trace.conflicts:
+        for aid in rc.contenders:
+            arrival.setdefault((aid, rc.cell), rc.tick)
+    reordered = 0
+    for rc in trace.conflicts:
+        bids = [Bid(aid, incentive[aid] if resolver == "auction" else 0, arrival[aid, rc.cell])
+                for aid in rc.contenders]
+        expected = [b.agent_id for b in _rank(bids)]
+        assert rc.ordering.turn_order() == expected, (rc.tick, rc.cell)
+        reordered += expected != sorted(rc.contenders)
+    # the log holds conflicts whose turn order is not their id order
+    assert reordered >= 10
     assert trace.collisions == []
     assert sweep_collisions(trace) == []
 
