@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed config, scenario or bid, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# Fraction() builds 10**exponent before any digit check, so a long exponent is refused first
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+_TOO_LONG = "a result has more digits than Python prints; use shorter bids or schedule values"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="auctionmapf")
@@ -30,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("config")
-    run_p.add_argument("--out", help="output directory (overrides config)")
+    run_p.add_argument("--out", default="results", help="output directory (default: results)")
 
     scen_p = sub.add_parser("scenario", help="generate or display scenarios")
     scen_p.add_argument("action", choices=["gen", "show"])
@@ -51,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep-utility", help="utility-vs-bid curve data")
     sweep_p.add_argument("config")
-    sweep_p.add_argument("--out", help="output directory (overrides config)")
+    sweep_p.add_argument("--out", default="results", help="output directory (default: results)")
     return parser
 
 
@@ -87,6 +92,9 @@ def _cmd_scenario(args) -> int:
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
+    for exponent in map(_EXPONENT.search, text.split(",")):
+        if exponent and 0 < sys.get_int_max_str_digits() < float(exponent[1]):  # 0: no limit
+            raise ValueError(_TOO_LONG)
     return [Fraction(part) for part in text.split(",")]
 
 
@@ -95,7 +103,7 @@ def _cmd_auction(args) -> int:
     # checks, the auction or the rendering is a config error; nothing prints before it
     try:
         bids = [Bid(i, amount) for i, amount in enumerate(_parse_fractions(args.bids))]
-        schedule = RewardSchedule(tuple(_parse_fractions(args.schedule))) if args.schedule else None
+        schedule = None if args.schedule is None else RewardSchedule(_parse_fractions(args.schedule))
         outcome = run_auction(bids, schedule=schedule)
     except (ValueError, ZeroDivisionError) as exc:
         raise harness.ConfigError(f"auction demo: {exc}") from exc
@@ -108,8 +116,7 @@ def _cmd_auction(args) -> int:
             f"welfare: {outcome.welfare}",
         ]
     except ValueError as exc:  # str() past Python's 4,300-digit limit
-        raise harness.ConfigError("auction demo: a result has more digits than Python"
-                                  " prints; use shorter bids or schedule values") from exc
+        raise harness.ConfigError(f"auction demo: {_TOO_LONG}") from exc
     print("\n".join(lines))
     return EXIT_OK
 

@@ -1,7 +1,8 @@
 """Experiment runner: parameter sweeps over seeded trials, CSV artifacts.
 
 Config files are flat text, one `key = value` per line (# comments allowed);
-each key is a field of ExperimentConfig.
+each key is a field of ExperimentConfig, which checks its values whenever
+one is built, by dataclasses.replace too.
 Every trial's seed derives from (base_seed, solver, kind, sweep point, trial
 index) through SHA-256, so runs are reproducible across machines and the
 worker pool; only the runtime_s column varies between runs.
@@ -18,7 +19,6 @@ from fractions import Fraction
 from itertools import repeat
 from math import inf
 from pathlib import Path
-from typing import Optional
 
 from . import cbs as cbs_mod
 from . import metrics as metrics_mod
@@ -26,17 +26,13 @@ from . import planner as planner_mod
 from .auction import Bid, sweep_utilities
 from .world import SCENARIO_KINDS, Scenario, make_scenario
 
-PLANNER_SOLVERS = planner_mod.RESOLVERS
-CBS_SOLVERS = cbs_mod.CBS_VARIANTS
-ALL_SOLVERS = PLANNER_SOLVERS + CBS_SOLVERS
-
 SWEEP_FIELDS = ("n_agents", "gap_size", "n_obstacles", "none")
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     kind: tuple[str, ...] = ("intersection",)
     width: int = 10
@@ -53,10 +49,9 @@ class ExperimentConfig:
     noise_sigma: float = 0.3
     timeout: float = cbs_mod.DEFAULT_TIMEOUT  # seconds per CBS plan; planner trials stop on ticks
     base_seed: int = 0
-    out_dir: str = "results"
     jobs: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         # written as chained comparisons so that NaN fails them too
@@ -73,7 +68,7 @@ class ExperimentConfig:
         if not self.solvers or not self.kind:
             raise ConfigError("solvers and kind must be nonempty")
         for s in self.solvers:
-            if s not in ALL_SOLVERS:
+            if s not in planner_mod.RESOLVERS + cbs_mod.CBS_VARIANTS:
                 raise ConfigError(f"unknown solver {s!r}")
         for k in self.kind:
             if k not in SCENARIO_KINDS:
@@ -110,7 +105,7 @@ _PARSERS = {f.name: _PARSE_ANNOTATION[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    values: dict[str, object] = {}
     seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -125,11 +120,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         seen[key] = lineno
         try:
-            setattr(cfg, key, _PARSERS[key](value))
+            values[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def trial_seed(base_seed: int, solver: str, kind: str, point: int, index: int) -> int:
@@ -156,7 +150,7 @@ def run_one_trial(cfg: ExperimentConfig, solver: str, kind: str, point: int, ind
     seed = trial_seed(cfg.base_seed, solver, kind, point, index)
     scenario = build_scenario(cfg, kind, point, seed)
     t0 = _time.monotonic()
-    if solver in PLANNER_SOLVERS:
+    if solver in planner_mod.RESOLVERS:
         # bounded by the planner's tick limit, never by the wall clock
         trace = planner_mod.run_trial(scenario, resolver=solver)
     else:
@@ -169,22 +163,21 @@ def run_one_trial(cfg: ExperimentConfig, solver: str, kind: str, point: int, ind
     return metrics_mod.score_trial(trace, scenario, runtime, solver)
 
 
-def _out_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> Path:
-    path = Path(out_dir or cfg.out_dir)
+def _out_dir(out_dir: str) -> Path:
+    path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_dir: Optional[str] = None
+    cfg: ExperimentConfig, out_dir: str
 ) -> list[metrics_mod.TrialRecord]:
     """Run the full sweep and write trials.csv / aggregates.csv.
 
     Trials run in min(cfg.jobs, trials, CPUs) worker processes, or serially
     for one; records come back in key order, so artifacts ignore jobs.
     """
-    cfg.validate()
-    out_dir = _out_dir(cfg, out_dir)
+    out_dir = _out_dir(out_dir)
     keys = [
         (solver, kind, point, index)
         for solver in cfg.solvers
@@ -209,7 +202,7 @@ def run_experiment(
 
 
 def sweep_utility_experiment(
-    cfg: ExperimentConfig, out_dir: Optional[str] = None
+    cfg: ExperimentConfig, out_dir: str
 ) -> list[tuple[int, float, float, float]]:
     """Utility-vs-bid curves for one conflict's contenders (plot data).
 
@@ -217,8 +210,7 @@ def sweep_utility_experiment(
     scenario; every other agent bids truthfully while the focal agent's bid
     sweeps 0 to twice the largest incentive in steps of 1/2.
     """
-    cfg.validate()
-    out_dir = _out_dir(cfg, out_dir)
+    out_dir = _out_dir(out_dir)
     kind = cfg.kind[0]
     seed = trial_seed(cfg.base_seed, "sweep-utility", kind, cfg.n_agents, 0)
     scenario = build_scenario(cfg, kind, getattr(cfg, cfg.swept), seed)

@@ -5,13 +5,16 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionmapf import harness
+import auctionmapf
+from auctionmapf import harness, planner
 from auctionmapf.cbs import CBSResult
 from auctionmapf.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, cli
 from auctionmapf.harness import (
@@ -167,7 +170,7 @@ def test_run_one_trial_planner_and_cbs(monkeypatch):
     assert rec.runtime_s == 0.5
 
 
-@pytest.mark.parametrize("solver", harness.PLANNER_SOLVERS)
+@pytest.mark.parametrize("solver", planner.RESOLVERS)
 def test_planner_row_ignores_wall_clock(solver):
     """Planner trials stop on their tick limit: a timeout far below a
     trial's wall time changes nothing in the row but runtime_s."""
@@ -289,6 +292,9 @@ def test_cli_auction_demo(capsys):
     # bids and schedule take anything Fraction() parses
     assert cli(["auction", "demo", "--bids", " 7/2, 0.5 ,3", "--schedule", "1,1/2,1e-1"]) == EXIT_OK
     assert "turn order (agent ids): [0, 2, 1]" in capsys.readouterr().out
+    # an exponent within Python's 4,300-digit limit still parses and prints
+    assert cli(["auction", "demo", "--bids", "7,0", "--schedule", "1,1e-4000"]) == EXIT_OK
+    assert "welfare: 7" in capsys.readouterr().out
 
 
 def _one_error_line(capsys, prefix):
@@ -308,6 +314,7 @@ def test_cli_auction_demo_bad_bids(capsys):
         ["--bids", "3,2,1", "--schedule", "1,1/2"],
         ["--bids", "3,2", "--schedule", "1/2,1"],
         ["--bids", "1/0,2"],
+        ["--bids", "7,4", "--schedule="],  # an empty schedule, like an empty bid list
     ):
         assert cli(["auction", "demo", *argv]) == EXIT_CONFIG, argv
         _one_error_line(capsys, "config error: ")
@@ -317,6 +324,17 @@ def test_cli_auction_demo_bad_bids(capsys):
         assert cli(["auction", "demo", *argv]) == EXIT_CONFIG, argv
         err = _one_error_line(capsys, "config error: auction demo: a result has more digits")
         assert "set_int_max_str_digits" not in err, argv
+    # an exponent past that limit is refused before Fraction() computes 10**exponent,
+    # which would take hours; a subprocess, so a hang fails on its timeout
+    src = str(Path(auctionmapf.__file__).resolve().parents[1])
+    for argv in (["--bids", "1e1000000000,1"], ["--bids", "7,4", "--schedule", "1,1e-1000000000"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "auctionmapf.cli", "auction", "demo", *argv],
+            capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_CONFIG, argv
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1, argv
+        assert proc.stderr.startswith("config error: auction demo: a result has more digits")
 
 
 def test_cli_scenario_show(capsys):
@@ -366,6 +384,10 @@ def test_cli_run_bad_config(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli(["run", str(good), "--out", str(out), "--trials", "2"]) == EXIT_CONFIG
     assert "unrecognized arguments: --trials 2" in capsys.readouterr().err
+    # the output directory is --out alone
+    bad.write_text(SMALL_CONFIG + "out_dir = x\n")
+    assert cli(["run", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    _one_error_line(capsys, "config error: line 11: unknown key 'out_dir'")
     bad.write_bytes(SMALL_CONFIG.encode() + b"\xff\xfe = 3\n")  # not UTF-8 text
     assert cli(["run", str(bad), "--out", str(out)]) == EXIT_CONFIG
     _one_error_line(capsys, "config error: ")
@@ -377,14 +399,20 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_run_small_experiment(tmp_path, capsys):
+def test_cli_run_small_experiment(tmp_path, capsys, monkeypatch):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(SMALL_CONFIG)
-    out_dir = tmp_path / "results"
+    out_dir = tmp_path / "out"
     code = cli(["run", str(cfg_file), "--out", str(out_dir)])
     assert code == EXIT_OK
     assert (out_dir / "trials.csv").exists()
     assert (out_dir / "aggregates.csv").exists()
+    # without --out, both commands write to ./results
+    monkeypatch.chdir(tmp_path)
+    assert cli(["run", str(cfg_file)]) == EXIT_OK
+    assert cli(["sweep-utility", str(cfg_file)]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+        "aggregates.csv", "trials.csv", "utility_curves.csv"]
 
 
 def test_cli_run_infeasible_geometry(tmp_path, capsys):
@@ -409,7 +437,7 @@ def test_cli_run_infeasible_geometry(tmp_path, capsys):
 CONFIG_KEYS = (
     "kind", "width", "height", "n_agents", "gap_size", "n_obstacles", "incentive_min",
     "incentive_max", "sweep", "sweep_values", "trials", "solvers", "noise_sigma",
-    "timeout", "base_seed", "out_dir", "jobs",
+    "timeout", "base_seed", "jobs",
 )
 CONFIG_VALUES = st.one_of(
     st.text(max_size=6),
@@ -433,12 +461,10 @@ def test_parse_config_fuzz_raises_only_config_error(tmp_path):
     def check(pairs):
         text = "".join(f"{key} = {value}\n" for key, value in pairs)
         try:
-            cfg = parse_config(text)
+            parse_config(text)
         except ConfigError:
             path.write_text(text, encoding="utf-8")
             assert cli(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
-            return
-        cfg.validate()
 
     check()
     assert not out.exists()
@@ -494,13 +520,17 @@ def test_cli_unknown_subcommand():
 
 
 def test_config_validation_direct():
-    cfg = ExperimentConfig(trials=0)
     with pytest.raises(ConfigError):
-        cfg.validate()
-    cfg = ExperimentConfig(timeout=0)
+        ExperimentConfig(trials=0)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        ExperimentConfig(timeout=0)
     # an empty solver or kind list would leave run_experiment no trial to map
-    for cfg in (ExperimentConfig(solvers=()), ExperimentConfig(kind=())):
+    for kwargs in ({"solvers": ()}, {"kind": ()}):
         with pytest.raises(ConfigError):
-            cfg.validate()
+            ExperimentConfig(**kwargs)
+    # a derived config is checked as it is built, and no field changes after
+    cfg = parse_config(SMALL_CONFIG)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, trials=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trials = 0
